@@ -3,7 +3,6 @@
 Public surface:
 
 * :class:`SetAssociativeCache` / :class:`AccessResult` — the engine.
-* :class:`PartitionedCache` — per-privilege user/kernel segments.
 * :func:`l1_filter` / :class:`L2Stream` — split-L1 front end.
 * :class:`CacheStats` — counters and derived rates.
 * :func:`make_policy` and the policy classes — replacement policies.
@@ -15,7 +14,6 @@ from repro.cache.analysis import SetPressure, occupancy_by_way, set_pressure
 from repro.cache.fastsim import simulate_trace
 from repro.cache.fastsim import supports_cache as fastsim_supports
 from repro.cache.hierarchy import L2Stream, l1_filter
-from repro.cache.partitioned import PartitionedCache
 from repro.cache.prefetch import (
     Prefetcher,
     SequentialPrefetcher,
@@ -34,7 +32,6 @@ from repro.cache.replacement import (
 )
 from repro.cache.set_assoc import REFRESH_MODES, AccessResult, SetAssociativeCache
 from repro.cache.stats import CacheStats
-from repro.cache.waypart import WayMaskPartitionedCache
 
 __all__ = [
     "SetPressure",
@@ -44,10 +41,8 @@ __all__ = [
     "SequentialPrefetcher",
     "StridePrefetcher",
     "make_prefetcher",
-    "WayMaskPartitionedCache",
     "L2Stream",
     "l1_filter",
-    "PartitionedCache",
     "POLICY_NAMES",
     "FIFOPolicy",
     "LRUPolicy",

@@ -18,7 +18,7 @@ The kernel is **bit-identical** to the reference engine inside its
 supported envelope (checked by :func:`supports_cache`):
 
 * true-LRU replacement,
-* fixed geometry: no way resizing, no power gating, no drowsy mode,
+* fixed geometry: no power gating, no drowsy mode,
 * retention ``none``, or ``invalidate`` with the fixed-window model.
 
 On top of the whole-trace kernel, :class:`EpochReplaySegment` extends
@@ -87,7 +87,6 @@ def supports_cache(cache) -> bool:
         and cache.retention_distribution == "fixed"
         and cache.drowsy_window is None
         and cache.powered_ways == cache.ways
-        and cache.ways == cache.geometry.associativity
         and cache.stats.accesses == 0
         and all(not tagmap for tagmap in cache._tagmaps)
     )
@@ -204,17 +203,10 @@ def simulate_trace(
         s_orig = None
 
     if refresh_mode == "none":
-        if events is None and s_demand is None:
-            counters = _replay_sets_simple(
-                ways, active_sets, starts, s_tags, s_privs, s_writes,
-            )
-            wb_set: list = []
-            wb_tag: list = []
-        else:
-            counters, wb_set, wb_tag = _replay_sets(
-                ways, active_sets, starts, s_tags, s_privs, s_writes,
-                s_demand, s_orig, events,
-            )
+        counters, wb_set, wb_tag = _replay_sets(
+            ways, active_sets, starts, s_tags, s_privs, s_writes,
+            s_demand, s_orig, events,
+        )
     else:
         s_ticks = np.asarray(ticks)[order].tolist()
         counters, wb_set, wb_tag = _replay_sets_retention(
@@ -248,11 +240,9 @@ def simulate_trace(
     return stats, events
 
 
-def _replay_sets_simple(ways, active_sets, starts, TG, PV, WR):
-    """Hottest replay variant: no retention, no demand column, no event
-    recording.  Kept separate from :func:`_replay_sets` so the inner loop
-    unpacks three columns and carries zero per-access branches for
-    features the caller did not ask for.
+def _replay_sets(ways, active_sets, starts, TG, PV, WR, DM, OR, events):
+    """Per-set replay without retention, optionally tracking the demand
+    column and recording per-miss events.
 
     LRU state is a move-to-back way list (front = least recent).  Recency
     sequences are unique and strictly increasing, so the list stays in
@@ -260,60 +250,6 @@ def _replay_sets_simple(ways, active_sets, starts, TG, PV, WR):
     victim as the reference ``LRUPolicy.victim`` first-strict-minimum
     scan; sets fill in way order exactly like the reference free-frame
     scan."""
-    misses = kernel_misses = 0
-    evictions = writebacks = 0
-    # evictions_cross flattened: index = (victim_priv << 1) | aggressor_priv
-    ec = [0, 0, 0, 0]
-    for s in active_sets:
-        lo, hi = starts[s], starts[s + 1]
-        tagmap: dict = {}
-        mget = tagmap.get
-        tagw: list = []
-        privw: list = []
-        dirty: list = []
-        lru: list = []
-        lru_remove = lru.remove
-        lru_append = lru.append
-        lru_pop = lru.pop
-        filled = 0
-        for tag, priv, isw in zip(TG[lo:hi], PV[lo:hi], WR[lo:hi]):
-            w = mget(tag)
-            if w is not None:
-                lru_remove(w)
-                lru_append(w)
-                if isw:
-                    dirty[w] = True
-                continue
-            misses += 1
-            if priv:
-                kernel_misses += 1
-            if filled < ways:
-                tagmap[tag] = filled
-                tagw.append(tag)
-                privw.append(priv)
-                dirty.append(isw)
-                lru_append(filled)
-                filled += 1
-            else:
-                w = lru_pop(0)
-                lru_append(w)
-                evictions += 1
-                ec[(privw[w] << 1) | priv] += 1
-                if dirty[w]:
-                    writebacks += 1
-                del tagmap[tagw[w]]
-                tagmap[tag] = w
-                tagw[w] = tag
-                privw[w] = priv
-                dirty[w] = isw
-    return (misses, kernel_misses, 0, evictions, writebacks,
-            0, 0, ec[0], ec[1], ec[2], ec[3])
-
-
-def _replay_sets(ways, active_sets, starts, TG, PV, WR, DM, OR, events):
-    """General no-retention replay: like :func:`_replay_sets_simple`
-    (same move-to-back LRU list) but tracking the demand column and/or
-    recording per-miss events."""
     misses = kernel_misses = demand_misses = 0
     evictions = writebacks = 0
     ec = [0, 0, 0, 0]

@@ -157,7 +157,7 @@ class SetAssociativeCache:
 
     @property
     def size_bytes(self) -> int:
-        """Provisioned capacity (tracks way resizes)."""
+        """Provisioned capacity (powered or not)."""
         return self._num_sets * self.ways * self.geometry.block_size
 
     @property
@@ -360,58 +360,6 @@ class SetAssociativeCache:
 
     # ------------------------------------------------------------------
     # maintenance operations
-
-    def resize_ways(self, new_ways: int, tick: int) -> int:
-        """Change the way count in place; returns blocks displaced.
-
-        Shrinking first compacts blocks from dropped ways into free
-        low-way frames, then evicts (writing back dirty data) whatever
-        does not fit.  Growing adds empty frames.  Replacement state is
-        resized via the policy's ``resize`` hook.
-        """
-        if new_ways <= 0:
-            raise ValueError(f"new_ways must be positive, got {new_ways}")
-        if new_ways == self.ways:
-            return 0
-        displaced = 0
-        if new_ways < self.ways:
-            for set_i in range(self._num_sets):
-                frames = self._frames[set_i]
-                tagmap = self._tagmaps[set_i]
-                overflow = [e for e in frames[new_ways:] if e is not None]
-                frames[:] = frames[:new_ways]
-                free = [w for w in range(new_ways) if frames[w] is None]
-                for entry in overflow:
-                    if free:
-                        w = free.pop()
-                        frames[w] = entry
-                        tagmap[entry.tag] = w
-                    else:
-                        displaced += 1
-                        self.stats.evictions += 1
-                        self.stats.evictions_cross[entry.priv][entry.priv] += 1
-                        if self._is_expired(entry, tick):
-                            self._retire_expired(entry)
-                        else:
-                            self._account_refresh(entry, tick)
-                            if entry.dirty:
-                                self.stats.writebacks += 1
-                        del tagmap[entry.tag]
-                self._pstates[set_i] = self.policy.resize(self._pstates[set_i], self.ways, new_ways)
-                # Re-register compacted blocks with the policy so their
-                # recency state exists at the new position.
-                for w, entry in enumerate(frames):
-                    if entry is not None:
-                        self.policy.on_fill(self._pstates[set_i], w)
-        else:
-            for set_i in range(self._num_sets):
-                self._frames[set_i].extend([None] * (new_ways - self.ways))
-                self._pstates[set_i] = self.policy.resize(self._pstates[set_i], self.ways, new_ways)
-        self.ways = new_ways
-        self.powered_ways = new_ways  # a physical resize repowers the array
-        if len(self.epoch_rank_hits) < new_ways:
-            self.epoch_rank_hits.extend([0] * (new_ways - len(self.epoch_rank_hits)))
-        return displaced
 
     def set_powered_ways(self, new_powered: int, tick: int) -> int:
         """Power-gate or re-enable ways in place; returns dirty flushes.

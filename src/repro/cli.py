@@ -31,14 +31,13 @@ import os
 import sys
 
 from repro import obs
-from repro.cache.hierarchy import l1_filter
 from repro.cache.prefetch import make_prefetcher
 from repro.cache.replacement import POLICY_NAMES
 from repro.config import DEFAULT_PLATFORM, platform_preset
 from repro.core.designs import DESIGN_NAMES, make_design
 from repro.engine import default_store, default_stream_cache, run_sweep
 from repro.engine.store import ResultStore
-from repro.engine.streamcache import StreamCache
+from repro.engine.streamcache import StreamCache, experiment_stream
 from repro.core.search import find_static_partition
 from repro.dram import DRAMModel
 from repro.energy.technology import RETENTION_CLASSES
@@ -61,7 +60,7 @@ from repro.experiments import (
 )
 from repro.trace.generator import generate_trace
 from repro.trace.io import save_trace
-from repro.trace.workloads import APP_NAMES, app_profile, suite_trace
+from repro.trace.workloads import APP_NAMES, app_profile
 
 __all__ = ["main", "build_parser"]
 
@@ -185,8 +184,7 @@ def _cmd_list(out) -> int:
 
 
 def _cmd_run(args, out) -> int:
-    trace = suite_trace(args.app, args.length, args.seed)
-    stream = l1_filter(trace, DEFAULT_PLATFORM)
+    stream = experiment_stream(args.app, args.length, args.seed)
     design = make_design(args.design)
     kwargs = {}
     if args.prefetcher:
@@ -382,9 +380,7 @@ def _dispatch(args, out) -> int:
         print(f"wrote {trace.describe()} -> {args.out}", file=out)
         return 0
     if args.command == "search":
-        streams = [
-            l1_filter(suite_trace(app, args.length), DEFAULT_PLATFORM) for app in args.apps
-        ]
+        streams = [experiment_stream(app, args.length) for app in args.apps]
         point = find_static_partition(streams, DEFAULT_PLATFORM, args.tolerance)
         print(
             f"chosen partition: {point.user_ways} user + {point.kernel_ways} kernel ways "

@@ -18,7 +18,7 @@ from repro.config import PlatformConfig
 from repro.core.baseline import BaselineDesign
 from repro.core.static_partition import StaticPartitionDesign
 
-__all__ = ["PartitionPoint", "sweep_partitions", "find_static_partition"]
+__all__ = ["PartitionPoint", "sweep_partitions", "choose_partition", "find_static_partition"]
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,26 @@ def sweep_partitions(
     return points
 
 
+def choose_partition(
+    points: list[PartitionPoint], baseline_miss_rate: float, tolerance: float = 0.10
+) -> PartitionPoint:
+    """Smallest swept point whose miss rate stays within ``tolerance``.
+
+    The budget is ``baseline_miss_rate * (1 + tolerance)``, where the
+    baseline is the full-size shared cache's mean demand miss rate over
+    the swept streams.  Among admissible points the smallest total size
+    wins; miss rate breaks ties.  If no point is admissible, the
+    lowest-miss-rate point is returned (the caller can inspect it).
+    """
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    budget = baseline_miss_rate * (1.0 + tolerance)
+    admissible = [p for p in points if p.demand_miss_rate <= budget]
+    if admissible:
+        return min(admissible, key=lambda p: (p.total_bytes, p.demand_miss_rate))
+    return min(points, key=lambda p: p.demand_miss_rate)
+
+
 def find_static_partition(
     streams: list[L2Stream],
     platform: PlatformConfig,
@@ -88,20 +108,11 @@ def find_static_partition(
     user_way_options: tuple[int, ...] = (1, 2, 3, 4, 6, 8),
     kernel_way_options: tuple[int, ...] = (1, 2, 3, 4, 6),
 ) -> PartitionPoint:
-    """Smallest partition whose miss rate stays within ``tolerance``.
+    """Sweep ``streams`` and pick a point with :func:`choose_partition`.
 
     The reference is the full-size shared baseline's mean demand miss
-    rate over the same streams; the budget is ``baseline * (1 +
-    tolerance)``.  Among admissible points the smallest total size wins;
-    miss rate breaks ties.  If no point is admissible, the
-    lowest-miss-rate point is returned (the caller can inspect it).
+    rate over the same streams.
     """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     baseline_mr, _, _ = _mean_miss_rate(BaselineDesign(), streams, platform)
-    budget = baseline_mr * (1.0 + tolerance)
     points = sweep_partitions(streams, platform, user_way_options, kernel_way_options)
-    admissible = [p for p in points if p.demand_miss_rate <= budget]
-    if admissible:
-        return min(admissible, key=lambda p: (p.total_bytes, p.demand_miss_rate))
-    return min(points, key=lambda p: p.demand_miss_rate)
+    return choose_partition(points, baseline_mr, tolerance)

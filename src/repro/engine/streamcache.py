@@ -42,14 +42,15 @@ import json
 import os
 import shutil
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs
 from repro.cache.hierarchy import STREAM_COLUMNS, L2Stream, l1_filter
-from repro.config import PlatformConfig
-from repro.engine.spec import SCHEMA_VERSION, canonical_json, stream_key
+from repro.config import DEFAULT_PLATFORM, PlatformConfig
+from repro.engine.spec import EXPERIMENT_TRACE_LENGTH, SCHEMA_VERSION, canonical_json, stream_key
 from repro.engine.store import (
     CACHE_DISABLE_ENV,
     COUNTER_KEYS,
@@ -59,7 +60,7 @@ from repro.engine.store import (
 )
 from repro.trace.workloads import suite_trace
 
-__all__ = ["StreamCache", "default_stream_cache"]
+__all__ = ["StreamCache", "default_stream_cache", "experiment_stream"]
 
 
 class StreamCache:
@@ -274,3 +275,29 @@ def default_stream_cache() -> StreamCache | None:
     if os.environ.get(CACHE_DISABLE_ENV):
         return None
     return StreamCache(default_cache_dir())
+
+
+@lru_cache(maxsize=64)
+def experiment_stream(
+    app: str,
+    length: int = EXPERIMENT_TRACE_LENGTH,
+    seed: int = 0,
+    platform: PlatformConfig = DEFAULT_PLATFORM,
+) -> L2Stream:
+    """L1-filtered L2 stream for ``app`` on ``platform`` (memoised).
+
+    The one per-process stream memo: engine workers, the experiments
+    and the CLI all read streams through it.  Each entry is a lookup in
+    the default :class:`StreamCache`, so the stream is built at most
+    once per machine and the memo holds zero-copy memory-mapped column
+    views backed by the kernel page cache, not private heap copies.
+    With caching disabled (``REPRO_CACHE_DISABLE``) the stream is built
+    in-process and the entry owns its arrays.
+    """
+    cache = default_stream_cache()
+    if cache is None:
+        return l1_filter(suite_trace(app, length, seed), platform)
+    stream = cache.get_or_build(app, length, seed, platform)
+    # one flush per unique stream per process (memoised afterwards)
+    cache.flush_counters()
+    return stream

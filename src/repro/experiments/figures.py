@@ -15,7 +15,7 @@ from repro.cache.hierarchy import L2Stream
 from repro.config import DEFAULT_PLATFORM, CacheGeometry
 from repro.core.baseline import BaselineDesign
 from repro.core.designs import DESIGN_NAMES
-from repro.core.search import PartitionPoint, find_static_partition, sweep_partitions
+from repro.core.search import PartitionPoint, choose_partition, sweep_partitions
 from repro.core.static_partition import StaticPartitionDesign
 from repro.energy.technology import RETENTION_CLASSES
 from repro.experiments.report import format_bars, format_percent, format_series, format_table
@@ -247,9 +247,6 @@ def fig4_static_space(
     """
     streams: list[L2Stream] = [experiment_stream(app, length) for app in apps]
     points = sweep_partitions(streams, DEFAULT_PLATFORM, user_way_options, kernel_way_options)
-    chosen = find_static_partition(
-        streams, DEFAULT_PLATFORM, tolerance, user_way_options, kernel_way_options
-    )
     baseline = float(
         np.mean(
             [
@@ -258,6 +255,7 @@ def fig4_static_space(
             ]
         )
     )
+    chosen = choose_partition(points, baseline, tolerance)
     return StaticSpaceResult(tuple(points), chosen, baseline)
 
 

@@ -6,6 +6,8 @@ full-length versions are exercised by the benchmarks.
 
 import pytest
 
+from repro import obs
+from repro.engine import ResultStore
 from repro.experiments import (
     canonical_result,
     experiment_stream,
@@ -25,9 +27,18 @@ from repro.experiments import (
     table3_workloads,
     table4_performance,
 )
+from repro.obs.summary import load_run
 
 SHORT = 40_000
 APPS = ("game", "email")
+
+
+@pytest.fixture
+def private_store(tmp_path, monkeypatch):
+    """An empty result store at the default location."""
+    root = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    return root
 
 
 class TestReport:
@@ -56,10 +67,29 @@ class TestRunner:
         b = experiment_stream("game", SHORT)
         assert a is b
 
-    def test_canonical_result_cached(self):
+    def test_canonical_result_cached(self, private_store):
         a = canonical_result("baseline", "game", SHORT)
         b = canonical_result("baseline", "game", SHORT)
-        assert a is b
+        assert a == b  # the second read is served from the store
+
+    def test_second_canonical_read_is_a_store_hit(self, private_store, tmp_path):
+        canonical_result("static-stt", "game", SHORT)
+        hits = obs.REGISTRY.counters.get("store.hit", 0)
+        log = tmp_path / "second.jsonl"
+        obs.configure(log)
+        try:
+            canonical_result("static-stt", "game", SHORT)
+        finally:
+            obs.configure(None)
+        assert obs.REGISTRY.counters.get("store.hit", 0) == hits + 1
+        spans = [e["name"] for e in load_run(log).events if e["type"] == "span"]
+        assert "batch" in spans and "replay" not in spans
+
+    def test_store_counters_persist_after_canonical_reads(self, private_store):
+        canonical_result("baseline", "email", SHORT)
+        canonical_result("baseline", "email", SHORT)
+        persisted = ResultStore(private_store).counters()
+        assert (persisted["misses"], persisted["writes"], persisted["hits"]) == (1, 1, 1)
 
     def test_canonical_rejects_unknown_design(self):
         with pytest.raises(ValueError, match="unknown design"):

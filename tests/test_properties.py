@@ -4,20 +4,22 @@ These pin down the behaviours everything else is built on:
 
 * the LRU cache engine matches a brute-force reference model,
 * statistics conservation laws hold under arbitrary traffic,
-* a privilege-partitioned cache is exactly two independent caches,
+* the static design's privilege segments are exactly two independent caches,
 * retention can only remove hits, never add them,
 * energy accounting is monotone in its inputs.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.partitioned import PartitionedCache
+from repro.cache.hierarchy import L2Stream
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
-from repro.config import CacheGeometry
+from repro.config import DEFAULT_PLATFORM, CacheGeometry
+from repro.core.static_partition import StaticPartitionDesign
 from repro.energy.model import segment_energy
 from repro.energy.technology import sram
 from repro.trace.generator import generate_trace
@@ -84,17 +86,29 @@ def test_stats_conservation(accs):
 @given(traffic)
 @settings(max_examples=80, deadline=None)
 def test_partitioned_equals_independent_caches(accs):
-    """Routing through PartitionedCache == two standalone simulations."""
-    seg_geom = CacheGeometry(8 * 2 * 64, 2)
-    pc = PartitionedCache({
-        Privilege.USER: SetAssociativeCache(seg_geom, "lru"),
-        Privilege.KERNEL: SetAssociativeCache(seg_geom, "lru"),
-    })
+    """The static design's user/kernel segments == two standalone caches."""
+    platform = DEFAULT_PLATFORM.with_l2(GEOMETRY)
+    seg_geom = GEOMETRY.with_ways(2)
     solo = {p: SetAssociativeCache(seg_geom, "lru") for p in (0, 1)}
     for i, (block, is_write, priv) in enumerate(accs):
-        a = pc.access(block * 64, is_write, priv, i)
-        b = solo[priv].access(block * 64, is_write, priv, i)
-        assert a.hit == b.hit
+        solo[priv].access(block * 64, is_write, priv, i)
+    n = len(accs)
+    stream = L2Stream(
+        name="prop",
+        ticks=np.arange(n, dtype=np.int64),
+        addrs=np.array([a[0] * 64 for a in accs], dtype=np.uint64),
+        privs=np.array([a[2] for a in accs], dtype=np.uint8),
+        writes=np.array([a[1] for a in accs], dtype=bool),
+        demand=np.ones(n, dtype=bool),
+        instructions=n, trace_accesses=n, duration_ticks=n,
+        l1i_stats=CacheStats(), l1d_stats=CacheStats(),
+    )
+    result = StaticPartitionDesign(user_ways=2, kernel_ways=2).run(
+        stream, platform, engine="reference")
+    for name, priv in (("user", Privilege.USER), ("kernel", Privilege.KERNEL)):
+        got, want = result.segment(name).stats, solo[priv].stats
+        assert (got.hits, got.misses, got.evictions) == (want.hits, want.misses, want.evictions)
+        assert got.cross_privilege_evictions == 0
 
 
 @given(traffic)

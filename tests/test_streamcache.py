@@ -4,8 +4,8 @@ Covers the ISSUE-5 contract: bit-identical round trips for every suite
 app, corruption tolerance (truncated bundle -> silent rebuild +
 eviction), stale-schema invalidation, design results identical whether
 streams are fresh, cached or memory-mapped — on both engines — and the
-executor/runner integration (each unique stream built once, memos
-holding mmap-backed views instead of heap copies).
+executor/runner integration (each unique stream built once, one
+shared memo holding mmap-backed views instead of heap copies).
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from repro.cache.hierarchy import STREAM_COLUMNS, l1_filter
 from repro.config import DEFAULT_PLATFORM, platform_preset
 from repro.core.designs import make_design
 from repro.engine import JobSpec, StreamCache, run_jobs
-from repro.engine.executor import _worker_stream
 from repro.engine.spec import SCHEMA_VERSION, stream_key
-from repro.engine.streamcache import default_stream_cache
+from repro.engine.streamcache import default_stream_cache, experiment_stream
 from repro.obs.metrics import REGISTRY
 from repro.trace.workloads import APP_NAMES, suite_trace
 
@@ -40,17 +39,11 @@ def cache(tmp_path):
 
 @pytest.fixture
 def fresh_cache_env(tmp_path, monkeypatch):
-    """Empty default cache dir + cleared in-process stream memos."""
-    from repro.experiments.runner import canonical_result, experiment_stream
-
+    """Empty default cache dir + cleared in-process stream memo."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    _worker_stream.cache_clear()
     experiment_stream.cache_clear()
-    canonical_result.cache_clear()
     yield tmp_path
-    _worker_stream.cache_clear()
     experiment_stream.cache_clear()
-    canonical_result.cache_clear()
 
 
 class TestKeying:
@@ -199,7 +192,7 @@ class TestExecutorIntegration:
 
     def test_warm_batch_maps_instead_of_building(self, fresh_cache_env):
         run_jobs(self._specs(), jobs=1, store=None)
-        _worker_stream.cache_clear()
+        experiment_stream.cache_clear()
         before = REGISTRY.counters.get("streamcache.build", 0)
         hits_before = REGISTRY.counters.get("streamcache.hit", 0)
         run_jobs(self._specs(), jobs=1, store=None)
@@ -208,7 +201,7 @@ class TestExecutorIntegration:
 
     def test_parallel_results_identical_to_serial(self, fresh_cache_env):
         serial = run_jobs(self._specs(), jobs=1, store=None)
-        _worker_stream.cache_clear()
+        experiment_stream.cache_clear()
         parallel = run_jobs(self._specs(), jobs=2, store=None)
         for a, b in zip(serial, parallel):
             assert a.spec == b.spec
@@ -222,33 +215,42 @@ class TestExecutorIntegration:
         assert StreamCache(fresh_cache_env).stats().entries == 2
 
     def test_worker_stream_memo_is_mmap_backed(self, fresh_cache_env):
-        stream = _worker_stream("browser", SHORT, 0, DEFAULT_PLATFORM)
+        stream = experiment_stream("browser", SHORT, 0, DEFAULT_PLATFORM)
         assert isinstance(stream.ticks, np.memmap)
-        assert _worker_stream("browser", SHORT, 0, DEFAULT_PLATFORM) is stream
+        assert experiment_stream("browser", SHORT, 0, DEFAULT_PLATFORM) is stream
 
     def test_disabled_cache_builds_in_process(self, fresh_cache_env, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
         assert default_stream_cache() is None
-        stream = _worker_stream("browser", SHORT, 0, DEFAULT_PLATFORM)
+        stream = experiment_stream("browser", SHORT, 0, DEFAULT_PLATFORM)
         assert not isinstance(stream.ticks, np.memmap)
-        _worker_stream.cache_clear()
+        experiment_stream.cache_clear()
 
 
 class TestRunnerIntegration:
     def test_experiment_stream_is_mmap_backed(self, fresh_cache_env):
-        from repro.experiments.runner import experiment_stream
-
         stream = experiment_stream("game", SHORT)
         assert isinstance(stream.ticks, np.memmap)
         # the memo still dedupes within the process
         assert experiment_stream("game", SHORT) is stream
 
+    def test_runner_and_executor_share_one_stream_memo(self, fresh_cache_env):
+        from repro.engine import executor
+        from repro.experiments import runner
+
+        assert runner.experiment_stream is executor.experiment_stream
+        spec = JobSpec("baseline", "game", length=SHORT)
+        executor.execute_spec(spec)
+        cached = runner.experiment_stream(spec.app, spec.length, spec.seed, spec.platform)
+        assert executor.experiment_stream(spec.app, spec.length, spec.seed,
+                                          spec.platform) is cached
+        assert runner.experiment_stream.cache_info().hits >= 2
+
     def test_canonical_result_unchanged_by_stream_source(self, fresh_cache_env):
-        from repro.experiments.runner import canonical_result, experiment_stream
+        from repro.experiments.runner import canonical_result
 
         via_cache = canonical_result("static-stt", "music", SHORT).to_dict()
         experiment_stream.cache_clear()
-        canonical_result.cache_clear()
         fresh = make_design("static-stt").run(
             build_stream("music"), DEFAULT_PLATFORM
         ).to_dict()
