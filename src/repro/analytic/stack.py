@@ -12,6 +12,13 @@ handles experiment-scale streams directly.  Set-associative caches track
 the fully associative curve closely at 8+ ways; the validation bench
 (``benchmarks/bench_analytic_validation.py``) quantifies the gap against
 the simulator.
+
+The same inclusion property, applied per set, gives the simulator its
+exact counterpart: :func:`repro.cache.fastsim.simulate_ways` replays a
+stream once and returns the full ``CacheStats`` of every way count at
+a fixed set count (see "All-associativity replay" in
+``docs/performance.md``).  Figure 3 and the static-partition search use
+it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,11 @@ seed range, and it is importable for ad-hoc bisection::
     ref, fast = run_case(sample_case(seed=7))
     assert ref.to_dict() == fast.to_dict()
 
+The all-associativity kernel (:func:`~repro.cache.fastsim.simulate_ways`)
+has its own sampler, :func:`sample_ways_case`: every way count up to the
+case's ``W_max`` must equal a :func:`~repro.cache.fastsim.simulate_trace`
+replay of that geometry.
+
 Workloads are deliberately adversarial for the envelope: sub-block
 address offsets, skewed set pressure, both privilege levels, write-back
 (non-demand) rows, and — for the retention cases — tick gaps sampled
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.fastsim import simulate_trace
+from repro.cache.fastsim import simulate_trace, simulate_ways
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.config import CacheGeometry, PlatformConfig
@@ -34,6 +39,10 @@ __all__ = [
     "sample_case",
     "run_case",
     "assert_case_equal",
+    "WaysDiffCase",
+    "sample_ways_case",
+    "run_ways_case",
+    "assert_ways_case_equal",
     "DynamicDiffCase",
     "sample_dynamic_case",
     "run_dynamic_case",
@@ -167,6 +176,102 @@ def assert_case_equal(case: DiffCase) -> None:
             "fastsim diverged from the reference engine on "
             + case.describe() + "\n" + "\n".join(mismatches)
         )
+
+
+# ----------------------------------------------------------------------
+# all-associativity harness (one pass, every way count)
+
+
+@dataclass(frozen=True)
+class WaysDiffCase:
+    """One randomized configuration of the all-ways harness.
+
+    Each block is touched at one privilege only (the kernel's
+    precondition for its eviction matrix, and what every L1-filtered
+    stream satisfies), so the case exercises the one-pass kernel rather
+    than its per-way-count fallback.
+    """
+
+    seed: int
+    sets: int
+    max_ways: int
+    block_size: int
+    length: int
+    addr_blocks: int
+    write_frac: float
+    kernel_frac: float          # fraction of *blocks* owned by the kernel
+    wb_frac: float
+
+    @property
+    def geometry(self) -> CacheGeometry:
+        return CacheGeometry(self.sets * self.block_size, 1, self.block_size)
+
+    def describe(self) -> str:
+        return (
+            f"seed={self.seed} {self.sets}s/{self.block_size}B W<={self.max_ways} "
+            f"n={self.length} blocks={self.addr_blocks}"
+        )
+
+
+def sample_ways_case(seed: int) -> WaysDiffCase:
+    """Draw one configuration: 1..64 sets, ``W_max`` in 1..32."""
+    rng = np.random.default_rng(seed ^ 0xA11A)
+    sets = int(rng.choice([1, 2, 4, 8, 16, 32, 64]))
+    max_ways = int(rng.integers(1, 33))
+    footprint = max(1, int(sets * max_ways * float(rng.choice([0.5, 1.0, 2.0, 4.0]))))
+    return WaysDiffCase(
+        seed=seed,
+        sets=sets,
+        max_ways=max_ways,
+        block_size=int(rng.choice([32, 64, 128])),
+        length=int(rng.integers(500, 4_000)),
+        addr_blocks=footprint,
+        write_frac=float(rng.uniform(0.05, 0.6)),
+        kernel_frac=float(rng.uniform(0.0, 1.0)),
+        wb_frac=float(rng.uniform(0.0, 0.25)),
+    )
+
+
+def _ways_workload(case: WaysDiffCase):
+    """(addrs, privs, writes, demand) of one case, one privilege per block."""
+    rng = np.random.default_rng(case.seed ^ 0x5A5A)
+    n = case.length
+    blocks = rng.integers(0, case.addr_blocks, size=n)
+    owner = (rng.random(case.addr_blocks) < case.kernel_frac).astype(np.uint8)
+    offsets = rng.integers(0, case.block_size, size=n).astype(np.uint64)
+    addrs = blocks.astype(np.uint64) * np.uint64(case.block_size) + offsets
+    writes = rng.random(n) < case.write_frac
+    demand = rng.random(n) >= case.wb_frac
+    return addrs, owner[blocks], writes, demand
+
+
+def run_ways_case(case: WaysDiffCase) -> tuple[dict, dict]:
+    """Returns ({W: per-geometry stats}, {W: all-ways stats}), W = 1..W_max."""
+    addrs, privs, writes, demand = _ways_workload(case)
+    ways = range(1, case.max_ways + 1)
+    fast = simulate_ways(case.geometry, ways, addrs, privs, writes, demand)
+    ref = {
+        w: simulate_trace(case.geometry.with_ways(w), None, addrs, privs, writes, demand)[0]
+        for w in ways
+    }
+    return ref, fast
+
+
+def assert_ways_case_equal(case: WaysDiffCase) -> None:
+    """Raise ``AssertionError`` naming the first way count that differs."""
+    ref, fast = run_ways_case(case)
+    for w, stats in ref.items():
+        ref_d, fast_d = stats.to_dict(), fast[w].to_dict()
+        if ref_d != fast_d:
+            mismatches = [
+                f"  {key}: per-geometry={ref_d[key]!r} all-ways={fast_d[key]!r}"
+                for key in ref_d
+                if ref_d[key] != fast_d[key]
+            ]
+            raise AssertionError(
+                f"the all-ways kernel diverged at W={w} on " + case.describe() + "\n"
+                + "\n".join(mismatches)
+            )
 
 
 # ----------------------------------------------------------------------

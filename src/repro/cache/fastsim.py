@@ -21,6 +21,11 @@ supported envelope (checked by :func:`supports_cache`):
 * fixed geometry: no power gating, no drowsy mode,
 * retention ``none``, or ``invalidate`` with the fixed-window model.
 
+:func:`simulate_ways` is the all-associativity form of the same LRU
+replay: by stack inclusion, one pass over per-set recency stacks gives
+the stats of every way count at a fixed set count (the Figure 3 size
+sweep and the static-partition search use it).
+
 On top of the whole-trace kernel, :class:`EpochReplaySegment` extends
 the envelope to the dynamic partition design's **epoch-chunked replay**:
 the geometry stays fixed *within* a chunk (one controller epoch), while
@@ -35,7 +40,8 @@ replay that needs per-access interleaving (bank-level DRAM, prefetching)
 — falls back to the reference engine.  ``tests/test_fastsim.py`` holds
 the randomized differential harness (:mod:`repro.cache.diffsim`) that
 proves the exact :class:`~repro.cache.stats.CacheStats` equality this
-module promises, for fixed and epoch-chunked replay alike.
+module promises, for fixed, all-associativity and epoch-chunked replay
+alike.
 
 Set ``REPRO_FASTSIM=0`` to disable the fast path globally (every replay
 then uses the reference engine, useful when bisecting a discrepancy).
@@ -58,6 +64,7 @@ __all__ = [
     "enabled",
     "supports_cache",
     "simulate_trace",
+    "simulate_ways",
     "EpochReplaySegment",
     "MissEvents",
     "fast_l1_filter",
@@ -427,6 +434,221 @@ def _replay_sets_retention(ways, active_sets, starts, T, TG, PV, WR, DM, OR,
     counters = (misses, kernel_misses, demand_misses, evictions, writebacks,
                 expiry_invalidations, expiry_writebacks, ec[0], ec[1], ec[2], ec[3])
     return counters, wb_set, wb_tag
+
+
+# ----------------------------------------------------------------------
+# all-associativity replay (one pass, every way count)
+
+#: Widest stack the all-ways kernel tracks: the per-set privilege
+#: bitmask of the recency stack must fit one uint64.
+MAX_STACK_WAYS = 64
+
+
+def simulate_ways(
+    geometry: CacheGeometry, ways, addrs, privs, writes, demand
+) -> dict[int, CacheStats]:
+    """Replay one stream once for every way count in ``ways``.
+
+    LRU has the inclusion property (Mattson et al., 1970): with the set
+    count fixed, a ``W``-way set holds exactly the ``W`` most recent
+    blocks of that set's recency stack.  One pass over a per-set stack
+    capped at ``W_max = max(ways)`` therefore yields the outcome of every
+    ``W <= W_max`` at once.  The returned ``{W: CacheStats}`` equals
+    ``simulate_trace(geometry.with_ways(W), ...)`` field for field.
+
+    The envelope is retention ``none`` (a retention window breaks
+    inclusion) and the set count and block size of ``geometry`` (its
+    way count is ignored).  The eviction matrix needs a block's
+    privilege to be the same in every ``W``; that holds when each block
+    is touched at one privilege only.  A stream with a mixed-privilege
+    block, or ``W_max > MAX_STACK_WAYS``, is declined (a
+    ``fastsim.decline.<reason>`` counter) and replayed once per way
+    count through :func:`simulate_trace` instead.
+
+    See the "All-associativity replay" section of ``docs/performance.md``
+    for the depth, write-back threshold and residual-crediting rules.
+    """
+    ways = sorted({int(w) for w in ways})
+    if not ways or ways[0] < 1:
+        raise ValueError(f"way counts must be positive, got {ways}")
+    addrs = np.asarray(addrs, dtype=np.uint64)
+    privs = np.asarray(privs)
+    writes = np.asarray(writes)
+    demand = np.asarray(demand)
+    n = len(addrs)
+    if n == 0:
+        return {w: CacheStats() for w in ways}
+    if int(privs.max()) > 1:
+        raise ValueError(
+            f"privilege values must be 0 (user) or 1 (kernel), got {int(privs.max())}"
+        )
+
+    wmax = ways[-1]
+    block_bits = geometry.block_size.bit_length() - 1
+    num_sets = geometry.num_sets
+    blocks = addrs >> np.uint64(block_bits)
+    kernel_rows = privs.astype(bool)
+    kernel_accesses = int(np.count_nonzero(kernel_rows))
+    both_privs = 0 < kernel_accesses < n
+    reason = None
+    if wmax > MAX_STACK_WAYS:
+        reason = "ways"
+    elif both_privs:
+        # Sorted (block, privilege) keys: a block seen at both privileges
+        # leaves two distinct keys that share a block.
+        keys = np.sort((blocks << np.uint64(1)) | kernel_rows.astype(np.uint64))
+        if np.any((keys[1:] != keys[:-1])
+                  & ((keys[1:] >> np.uint64(1)) == (keys[:-1] >> np.uint64(1)))):
+            reason = "mixed-privilege"
+    if reason is not None:
+        obs.inc(f"fastsim.decline.{reason}")
+        # Retention-free replay never reads the tick column.
+        return {
+            w: simulate_trace(geometry.with_ways(w), None, addrs, privs, writes, demand)[0]
+            for w in ways
+        }
+
+    set_idx = (blocks & np.uint64(num_sets - 1)).astype(np.int64)
+    tags = blocks >> np.uint64(num_sets.bit_length() - 1)
+    # A stable sort of 16-bit keys is a radix sort: several times faster.
+    order = np.argsort(
+        set_idx.astype(np.uint16) if num_sets <= 1 << 16 else set_idx, kind="stable"
+    )
+    starts = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(set_idx, minlength=num_sets), out=starts[1:])
+    active_sets = np.nonzero(starts[1:] > starts[:-1])[0].tolist()
+    s_privs = privs[order]
+    codes, masks, wb_diff = _stack_sets(
+        wmax, active_sets, starts.tolist(), tags[order].tolist(), s_privs.tolist(),
+        writes[order].tolist(), both_privs,
+    )
+
+    # A hit at depth p misses in every W <= p; a stack miss (code >
+    # wmax) misses everywhere.  Either evicts in every W <= its
+    # eviction depth: p, or the pre-access stack length for a miss.
+    codes = np.asarray(codes, dtype=np.int64)
+    cold = codes > wmax
+    miss_depth = np.where(cold, wmax, codes)
+    evict_depth = np.where(cold, codes - (wmax + 1), codes)
+    s_kernel = kernel_rows[order]
+
+    def at_least(depths) -> np.ndarray:
+        """``out[W]`` = how many ``depths`` are ``>= W``."""
+        hist = np.bincount(depths, minlength=wmax + 1)
+        return np.cumsum(hist[::-1])[::-1]
+
+    misses = at_least(miss_depth)
+    kernel_misses = at_least(miss_depth[s_kernel])
+    demand_misses = at_least(miss_depth[demand[order].astype(bool)])
+    evictions = at_least(evict_depth)
+    kernel_evictions = at_least(evict_depth[s_kernel])
+    writebacks = np.cumsum(wb_diff)
+    if both_privs:
+        victim_masks = np.asarray(masks, dtype=np.uint64)
+        user_masks, kernel_masks = victim_masks[~s_kernel], victim_masks[s_kernel]
+
+    write_accesses = int(np.count_nonzero(writes))
+    demand_accesses = int(np.count_nonzero(demand))
+    out = {}
+    for w in ways:
+        ev, kev = int(evictions[w]), int(kernel_evictions[w])
+        if both_privs:
+            # Bit W-1 of a recorded mask is the privilege of the block
+            # the access evicted from the W-way set.
+            bit = np.uint64(1 << (w - 1))
+            kernel_by_user = int(np.count_nonzero(user_masks & bit))
+            kernel_by_kernel = int(np.count_nonzero(kernel_masks & bit))
+            cross = [[ev - kev - kernel_by_user, kev - kernel_by_kernel],
+                     [kernel_by_user, kernel_by_kernel]]
+        elif kernel_accesses:
+            cross = [[0, 0], [0, ev]]
+        else:
+            cross = [[ev, 0], [0, 0]]
+        mw, kmw = int(misses[w]), int(kernel_misses[w])
+        out[w] = CacheStats(
+            accesses=n, hits=n - mw, misses=mw, fills=mw, evictions=ev,
+            writebacks=int(writebacks[w]), demand_accesses=demand_accesses,
+            demand_misses=int(demand_misses[w]), write_accesses=write_accesses,
+            accesses_by_priv=[n - kernel_accesses, kernel_accesses],
+            misses_by_priv=[mw - kmw, kmw], evictions_cross=cross,
+        )
+    return out
+
+
+def _stack_sets(wmax, active_sets, starts, TG, PV, WR, track_privs):
+    """Per-set recency-stack replay behind :func:`simulate_ways`.
+
+    Each set keeps its blocks most-recent first (``tags``), at most
+    ``wmax`` of them, with a dirty threshold per entry (``dirty``): the
+    block is dirty in the W-way cache iff ``W > threshold``.  Returns,
+    in set-sorted order, one code per access (the hit depth, or
+    ``wmax + 1 + stack length`` on a stack miss), the privilege
+    bitmask of the evicted-from positions per access when
+    ``track_privs`` is set, and the write-back difference array.
+
+    An entry pushed from depth W-1 to W has just been evicted from the
+    W-way cache; it is credited a write-back for every W in
+    ``(threshold, depth]`` lazily — when it is re-referenced, falls off
+    the stack, or is still resident when its set ends.
+    """
+    codes: list = []
+    masks: list = []
+    code = codes.append
+    record = masks.append
+    wb_diff = [0] * (wmax + 2)
+    low = [(1 << k) - 1 for k in range(wmax + 1)]
+    full = low[wmax]
+    cold_base = wmax + 1
+    for s in active_sets:
+        lo, hi = starts[s], starts[s + 1]
+        tags: list = []
+        index = tags.index
+        dirty: list = []
+        priv_mask = 0
+        for tag, priv, isw in zip(TG[lo:hi], PV[lo:hi], WR[lo:hi]):
+            try:
+                p = index(tag)
+            except ValueError:
+                depth = len(tags)
+                if depth == wmax:
+                    tags.pop()
+                    t = dirty.pop()
+                    if wmax > t:
+                        wb_diff[t + 1] += 1
+                        wb_diff[wmax + 1] -= 1
+                tags.insert(0, tag)
+                dirty.insert(0, 0 if isw else wmax)
+                code(cold_base + depth)
+                if track_privs:
+                    record(priv_mask & low[depth])
+                    priv_mask = ((priv_mask << 1) | priv) & full
+                continue
+            t = dirty[p]
+            if p > t:
+                wb_diff[t + 1] += 1
+                wb_diff[p + 1] -= 1
+                t = p
+            if isw:
+                t = 0
+            code(p)
+            if p:
+                del tags[p]
+                del dirty[p]
+                tags.insert(0, tag)
+                dirty.insert(0, t)
+                if track_privs:
+                    above = priv_mask & low[p]
+                    record(above)
+                    priv_mask = (above << 1) | (priv_mask >> (p + 1) << (p + 1)) | priv
+            else:
+                dirty[0] = t
+                if track_privs:
+                    record(0)
+        for k, t in enumerate(dirty):
+            if k > t:
+                wb_diff[t + 1] += 1
+                wb_diff[k + 1] -= 1
+    return codes, masks, wb_diff
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,9 @@ drowsy and hybrid designs — executes through this module:
   demand/write-weighted technology timing penalties, the
   :class:`~repro.core.result.SegmentReport` assembly, the DRAM energy
   charge and the ``extras`` conventions.
+* :func:`replay_ways` serves the design-space sweeps (Figure 3, the
+  static-partition search): the stats of one LRU segment at many way
+  counts from a single pass, under the same kill switch.
 
 ``compute_timing`` / ``segment_energy`` / ``dram_energy_j`` are invoked
 from exactly this module under ``repro.core`` — adding a design means
@@ -24,14 +27,16 @@ awake/drowsy leakage split) instead of assembling results by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.cache.hierarchy import L2Stream
 from repro.cache.prefetch import Prefetcher
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
-from repro.config import PlatformConfig
+from repro.config import CacheGeometry, PlatformConfig
 from repro.core.result import DesignResult, SegmentReport
 from repro.dram.model import DRAMModel
 from repro.energy.model import EnergyBreakdown, dram_energy_j, segment_energy
@@ -44,6 +49,7 @@ __all__ = [
     "ReplaySession",
     "ResultAssembler",
     "SegmentOutcome",
+    "replay_ways",
     "run_fixed_design",
 ]
 
@@ -121,7 +127,8 @@ class ReplaySession:
             if self.engine == "auto" and not fastsim.enabled():
                 reason = "kill-switch"
             else:
-                with obs.span("replay", design=self.design_name, engine="fastsim"):
+                with obs.span("replay", design=self.design_name, engine="fastsim",
+                              accesses=len(self.stream)):
                     ran = runner(fastsim)
                 if ran:
                     self.sim_engine = "fastsim"
@@ -159,7 +166,8 @@ class ReplaySession:
         (a :class:`SetAssociativeCache` or a composite like the hybrid
         segment).  The caller finalizes its caches itself.
         """
-        with obs.span("replay", design=self.design_name, engine="reference", loop="routed"):
+        with obs.span("replay", design=self.design_name, engine="reference", loop="routed",
+                      accesses=len(self.stream)):
             for tick, addr, priv, is_write, is_demand in self.rows():
                 route(priv).access(addr, is_write, priv, tick, is_demand)
 
@@ -176,7 +184,8 @@ class ReplaySession:
         ``route(priv)`` returns a segment exposing wake-on-first-access
         (``wake(tick)``) and a ``cache.access`` method.
         """
-        with obs.span("replay", design=self.design_name, engine="reference", loop="epochs"):
+        with obs.span("replay", design=self.design_name, engine="reference", loop="epochs",
+                      accesses=len(self.stream)):
             next_epoch = epoch_ticks
             for tick, addr, priv, is_write, is_demand in self.rows():
                 while tick >= next_epoch:
@@ -212,7 +221,8 @@ class ReplaySession:
         dram_read_stall = 0
         prefetch_issued = 0
         prefetch_useful = 0
-        with obs.span("replay", design=self.design_name, engine="reference", loop="fixed"):
+        with obs.span("replay", design=self.design_name, engine="reference", loop="fixed",
+                      accesses=len(self.stream)):
             for tick, addr, priv, is_write, is_demand in self.rows():
                 cache = router(priv)
                 result = cache.access(addr, is_write, priv, tick, is_demand)
@@ -482,3 +492,33 @@ def run_fixed_design(
         dram_model=dram_model,
         extras=extras,
     )
+
+
+def replay_ways(
+    design_name: str,
+    stream: L2Stream,
+    geometry: CacheGeometry,
+    ways: Sequence[int],
+    rows: np.ndarray | None = None,
+) -> dict[int, CacheStats] | None:
+    """Stats of one retention-free LRU segment per way count, in one pass.
+
+    Replays ``stream`` (or the rows its boolean mask ``rows`` selects)
+    through the all-associativity kernel
+    (:func:`repro.cache.fastsim.simulate_ways`): ``out[W]`` is what a
+    ``geometry.with_ways(W)`` LRU segment with retention ``none`` would
+    report, for every ``W`` in ``ways``.  Returns None under the
+    ``REPRO_FASTSIM`` kill switch; the caller then runs its designs one
+    configuration at a time.
+    """
+    from repro.cache import fastsim
+
+    if not fastsim.enabled():
+        return None
+    cols = [stream.addrs, stream.privs, stream.writes, stream.demand]
+    if rows is not None:
+        cols = [col[rows] for col in cols]
+    obs.inc("pipeline.dispatch.fastsim-ways")
+    with obs.span("replay", design=design_name, app=stream.name, engine="fastsim-ways",
+                  w_max=max(ways), accesses=len(cols[0])):
+        return fastsim.simulate_ways(geometry, ways, *cols)

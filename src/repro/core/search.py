@@ -14,9 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.hierarchy import L2Stream
+from repro.cache.stats import CacheStats
 from repro.config import PlatformConfig
 from repro.core.baseline import BaselineDesign
+from repro.core.pipeline import replay_ways
 from repro.core.static_partition import StaticPartitionDesign
+from repro.types import Privilege
 
 __all__ = ["PartitionPoint", "sweep_partitions", "choose_partition", "find_static_partition"]
 
@@ -38,19 +41,49 @@ class PartitionPoint:
         return self.user_ways + self.kernel_ways
 
 
-def _mean_miss_rate(design, streams: list[L2Stream], platform: PlatformConfig) -> tuple[float, float, float]:
-    """(overall, user-segment, kernel-segment) demand miss rates, averaged."""
-    overall, user, kernel = [], [], []
+def _baseline_miss_rate(streams: list[L2Stream], platform: PlatformConfig) -> float:
+    """Full-size shared baseline's demand miss rate, averaged over ``streams``."""
+    return float(np.mean(
+        [BaselineDesign().run(stream, platform).l2_stats.demand_miss_rate for stream in streams]
+    ))
+
+
+def _segment_rates(
+    streams: list[L2Stream],
+    platform: PlatformConfig,
+    user_way_options: tuple[int, ...],
+    kernel_way_options: tuple[int, ...],
+) -> dict[tuple[int, int], tuple[float, float, float]]:
+    """(user, kernel) ways -> mean (overall, user, kernel) demand miss rates.
+
+    A static partition's segments never interact, so each stream takes
+    two all-associativity passes (:func:`~repro.core.pipeline.replay_ways`):
+    its user rows up to the largest user option, its kernel rows up to
+    the largest kernel option.  The per-segment stats merge exactly as
+    ``DesignResult.l2_stats`` merges them.  Under the ``REPRO_FASTSIM``
+    kill switch every point runs its ``StaticPartitionDesign`` instead.
+    """
+    rates: dict[tuple[int, int], tuple[list, list, list]] = {
+        (uw, kw): ([], [], []) for uw in user_way_options for kw in kernel_way_options
+    }
     for stream in streams:
-        result = design.run(stream, platform)
-        overall.append(result.l2_stats.demand_miss_rate)
-        try:
-            user.append(result.segment("user").stats.demand_miss_rate)
-            kernel.append(result.segment("kernel").stats.demand_miss_rate)
-        except KeyError:
-            user.append(result.l2_stats.demand_miss_rate)
-            kernel.append(result.l2_stats.demand_miss_rate)
-    return float(np.mean(overall)), float(np.mean(user)), float(np.mean(kernel))
+        kernel_rows = stream.privs == np.uint8(Privilege.KERNEL)
+        user = replay_ways("static", stream, platform.l2, user_way_options, ~kernel_rows)
+        kernel = replay_ways("static", stream, platform.l2, kernel_way_options, kernel_rows)
+        for (uw, kw), (overall, user_mr, kernel_mr) in rates.items():
+            if user is None or kernel is None:
+                result = StaticPartitionDesign(user_ways=uw, kernel_ways=kw).run(stream, platform)
+                user_stats = result.segment("user").stats
+                kernel_stats = result.segment("kernel").stats
+            else:
+                user_stats, kernel_stats = user[uw], kernel[kw]
+            overall.append(CacheStats().merge(user_stats).merge(kernel_stats).demand_miss_rate)
+            user_mr.append(user_stats.demand_miss_rate)
+            kernel_mr.append(kernel_stats.demand_miss_rate)
+    return {
+        point: tuple(float(np.mean(column)) for column in columns)
+        for point, columns in rates.items()
+    }
 
 
 def sweep_partitions(
@@ -59,26 +92,20 @@ def sweep_partitions(
     user_way_options: tuple[int, ...] = (1, 2, 3, 4, 6, 8),
     kernel_way_options: tuple[int, ...] = (1, 2, 3, 4, 6),
 ) -> list[PartitionPoint]:
-    """Evaluate every (user, kernel) way combination on ``streams``."""
+    """Evaluate every (user, kernel) way combination on ``streams``.
+
+    Each point is what ``StaticPartitionDesign(user_ways, kernel_ways)``
+    (SRAM segments, LRU) reports, averaged over the streams.
+    """
     if not streams:
         raise ValueError("need at least one stream to sweep")
-    points = []
+    rates = _segment_rates(streams, platform, user_way_options, kernel_way_options)
     bytes_per_way = platform.l2.num_sets * platform.l2.block_size
-    for uw in user_way_options:
-        for kw in kernel_way_options:
-            design = StaticPartitionDesign(user_ways=uw, kernel_ways=kw)
-            overall, user_mr, kernel_mr = _mean_miss_rate(design, streams, platform)
-            points.append(
-                PartitionPoint(
-                    user_ways=uw,
-                    kernel_ways=kw,
-                    total_bytes=(uw + kw) * bytes_per_way,
-                    demand_miss_rate=overall,
-                    user_miss_rate=user_mr,
-                    kernel_miss_rate=kernel_mr,
-                )
-            )
-    return points
+    return [
+        PartitionPoint(uw, kw, (uw + kw) * bytes_per_way, *rates[uw, kw])
+        for uw in user_way_options
+        for kw in kernel_way_options
+    ]
 
 
 def choose_partition(
@@ -113,6 +140,5 @@ def find_static_partition(
     The reference is the full-size shared baseline's mean demand miss
     rate over the same streams.
     """
-    baseline_mr, _, _ = _mean_miss_rate(BaselineDesign(), streams, platform)
     points = sweep_partitions(streams, platform, user_way_options, kernel_way_options)
-    return choose_partition(points, baseline_mr, tolerance)
+    return choose_partition(points, _baseline_miss_rate(streams, platform), tolerance)

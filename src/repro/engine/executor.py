@@ -4,7 +4,10 @@
 :class:`~repro.engine.spec.JobSpec` from the persistent store where it
 can, fans the rest out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
 retries each failed job once, persists fresh results, and reports
-progress after every completion.
+progress after every completion.  A worker that dies (OOM reaper,
+SIGKILL) breaks the whole pool: the executor respawns it and resubmits
+the jobs that were in flight, each charged one attempt of its retry
+budget, so a dead worker costs a retry, not the batch.
 
 The executor is *stream-aware*: jobs that differ only in design share
 one L1-filtered L2 stream (see :attr:`JobSpec.stream_key`), so a batch
@@ -31,6 +34,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -55,18 +59,19 @@ def _prebuild_stream(app: str, length: int, seed: int, platform: PlatformConfig)
     experiment_stream(app, length, seed, platform)
 
 
-def _prebuild_missing_streams(pool, specs: Sequence[JobSpec], fresh: dict) -> None:
+def _prebuild_missing_streams(pool, specs: Sequence[JobSpec], fresh: dict) -> bool:
     """First wave of a parallel batch: build absent streams, one task each.
 
     Without this, up to ``jobs`` workers would race to build the same
     stream on first touch; with it, the cold grid pays each unique
     front end exactly once process-wide.  A prebuild failure is not
     fatal here — the design job that needs the stream rebuilds it and
-    surfaces the error through the normal retry path.
+    surfaces the error through the normal retry path.  Returns True
+    when a worker died and left the pool broken.
     """
     cache = default_stream_cache()
     if cache is None:
-        return
+        return False
     unique: dict[str, JobSpec] = {}
     for indices in fresh.values():
         spec = specs[indices[0]]
@@ -75,7 +80,8 @@ def _prebuild_missing_streams(pool, specs: Sequence[JobSpec], fresh: dict) -> No
         s for s in unique.values() if not cache.has(s.app, s.length, s.seed, s.platform)
     ]
     if not missing:
-        return
+        return False
+    broken = False
     with obs.span("stream.prebuild", streams=len(missing)):
         futures = [
             pool.submit(_prebuild_stream, s.app, s.length, s.seed, s.platform)
@@ -84,9 +90,11 @@ def _prebuild_missing_streams(pool, specs: Sequence[JobSpec], fresh: dict) -> No
         for spec, future in zip(missing, futures):
             exc = future.exception()
             if exc is not None:
+                broken = broken or isinstance(exc, BrokenProcessPool)
                 obs.inc("streamcache.prebuild-error")
                 obs.event("stream.prebuild-error", app=spec.app,
                           error=type(exc).__name__)
+    return broken
 
 
 def execute_spec(spec: JobSpec) -> DesignResult:
@@ -258,8 +266,11 @@ def _run_batch(
                                        remaining, outcomes[indices[0]], started_at))
         return [o for o in outcomes if o is not None]
 
-    with ProcessPoolExecutor(max_workers=min(jobs, pending)) as pool:
-        _prebuild_missing_streams(pool, specs, fresh)
+    workers = min(jobs, pending)
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        if _prebuild_missing_streams(pool, specs, fresh):
+            pool = _respawn(pool, workers)
         attempts_left = {key: 1 + retries for key in fresh}
         attempt_no = {key: 0 for key in fresh}
 
@@ -288,33 +299,49 @@ def _run_batch(
             attempt_no[key] += 1
             futures[pool.submit(_timed_execute, specs[fresh[key][0]])] = key
 
-        for _ in range(min(jobs, pending)):
+        for _ in range(workers):
             submit()
         while futures:
             done, _ = wait(futures, return_when=FIRST_COMPLETED)
+            if any(isinstance(f.exception(), BrokenProcessPool) for f in done):
+                # A worker died (OOM reaper, SIGKILL): the pool is unusable
+                # and every in-flight job fails with it.  Settle them all,
+                # then retry the lost ones on a fresh pool.
+                done, _ = wait(futures)
+                pool = _respawn(pool, workers)
             for future in done:
                 key = futures.pop(future)
                 indices = fresh[key]
-                try:
-                    result, wall_s, cpu_s = future.result()
-                except Exception as exc:
+                exc = future.exception()
+                if exc is not None:
                     attempts_left[key] -= 1
                     if attempts_left[key] <= 0:
                         for other in futures:
                             other.cancel()
-                        raise
+                        raise exc
                     obs.inc("engine.job.retry")
                     obs.event("job.retry", label=specs[indices[0]].label(),
                               attempt=attempt_no[key] + 1, error=type(exc).__name__)
                     submit(key=key)
                     continue
+                result, wall_s, cpu_s = future.result()
                 finish(indices, result, wall_s, cpu_s, attempt_no[key])
                 submit(preferred=specs[indices[0]].stream_key)
                 if progress is not None:
                     progress(BatchProgress(total, completed, cached_count,
                                            len(futures) + sum(map(len, queues.values())),
                                            outcomes[indices[0]], started_at))
+    finally:
+        pool.shutdown(wait=True)
     return [o for o in outcomes if o is not None]
+
+
+def _respawn(pool: ProcessPoolExecutor, workers: int) -> ProcessPoolExecutor:
+    """Replace a pool broken by a dead worker with a fresh one."""
+    pool.shutdown(wait=True)
+    obs.inc("engine.pool.respawn")
+    obs.event("pool.respawn", workers=workers)
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _run_with_retry(fn, spec: JobSpec, retries: int):

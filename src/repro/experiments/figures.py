@@ -15,6 +15,7 @@ from repro.cache.hierarchy import L2Stream
 from repro.config import DEFAULT_PLATFORM, CacheGeometry
 from repro.core.baseline import BaselineDesign
 from repro.core.designs import DESIGN_NAMES
+from repro.core.pipeline import replay_ways
 from repro.core.search import PartitionPoint, choose_partition, sweep_partitions
 from repro.core.static_partition import StaticPartitionDesign
 from repro.energy.technology import RETENTION_CLASSES
@@ -177,20 +178,28 @@ def fig3_size_sweep(
 
     The sweep holds the set count at the baseline's 1024 and varies the
     way count (2..32) — exactly what shrinking/growing a way-organised
-    array does.
+    array does.  LRU inclusion gives every size from one pass per app
+    (:func:`~repro.core.pipeline.replay_ways`); under the
+    ``REPRO_FASTSIM`` kill switch each size runs a ``BaselineDesign``.
     """
-    points = []
     for size_kb in sizes_kb:
         if size_kb % 64:
             raise ValueError(f"sizes must be multiples of 64 KB, got {size_kb}")
-        geometry = CacheGeometry(size_kb * 1024, size_kb // 64)
-        rates = [
-            run_design_on(BaselineDesign(geometry=geometry), app, length=length)
-            .l2_stats.demand_miss_rate
-            for app in apps
-        ]
-        points.append((size_kb * 1024, float(np.mean(rates))))
-    return SizeSweepResult(tuple(points))
+    one_way = CacheGeometry(64 * 1024, 1)  # 1024 sets of 64-byte blocks
+    ways = [size_kb // 64 for size_kb in sizes_kb]
+    rates: list[list[float]] = [[] for _ in sizes_kb]
+    for app in apps:
+        stream = experiment_stream(app, length)
+        stats = replay_ways("baseline", stream, one_way, ways)
+        for w, size_rates in zip(ways, rates):
+            if stats is None:
+                design = BaselineDesign(geometry=one_way.with_ways(w))
+                size_rates.append(design.run(stream, DEFAULT_PLATFORM).l2_stats.demand_miss_rate)
+            else:
+                size_rates.append(stats[w].demand_miss_rate)
+    return SizeSweepResult(tuple(
+        (size_kb * 1024, float(np.mean(r))) for size_kb, r in zip(sizes_kb, rates)
+    ))
 
 
 # ---------------------------------------------------------------------------

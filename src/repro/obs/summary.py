@@ -8,6 +8,8 @@
 * the measured batch wall time and the *span coverage* — the fraction of
   the batch interval covered by the union of all non-batch spans.  Low
   coverage means time is going somewhere uninstrumented;
+* replay throughput per engine — the ``accesses`` attribute of every
+  ``replay`` span summed over its duration, in M accesses/s;
 * every counter recorded in the log's ``metrics`` snapshots (engine
   dispatch decisions, store hit/miss/write/corruption tallies, ...).
 """
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from repro.obs.trace import validate_event
 
-__all__ = ["PhaseStat", "RunLog", "RunSummary", "load_run", "summarize"]
+__all__ = ["EngineThroughput", "PhaseStat", "RunLog", "RunSummary", "load_run", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,20 @@ class PhaseStat:
         return self.total_s / self.count if self.count else 0.0
 
 
+@dataclass
+class EngineThroughput:
+    """Work and time of the ``replay`` spans of one engine."""
+
+    engine: str
+    replays: int = 0
+    accesses: int = 0
+    total_s: float = 0.0
+
+    @property
+    def maccess_per_s(self) -> float:
+        return self.accesses / self.total_s / 1e6 if self.total_s > 0 else 0.0
+
+
 def _interval_union(intervals: list[tuple[float, float]]) -> float:
     """Total length covered by the union of ``(start, end)`` intervals."""
     covered = 0.0
@@ -92,6 +108,7 @@ class RunSummary:
     coverage: float = 0.0
     counters: dict[str, int] = field(default_factory=dict)
     n_events: int = 0
+    engines: list[EngineThroughput] = field(default_factory=list)
 
     def phase(self, name: str) -> PhaseStat | None:
         for stat in self.phases:
@@ -123,6 +140,19 @@ class RunSummary:
             f"batch wall {self.batch_wall_s:.3f}s; span coverage "
             f"{self.coverage:.1%} ({self.n_events} events)",
         ]
+        if self.engines:
+            engine_rows = [
+                [e.engine, str(e.replays), f"{e.accesses / 1e6:9.3f}", f"{e.total_s:8.3f}",
+                 f"{e.maccess_per_s:8.2f}"]
+                for e in sorted(self.engines, key=lambda e: -e.total_s)
+            ]
+            lines.append("")
+            lines.append(format_table(
+                "replay throughput by engine",
+                ["engine", "replays", "M accesses", "total s", "M acc/s"],
+                engine_rows,
+                align_left_cols=1,
+            ))
         if self.counters:
             counter_rows = [[name, f"{value:,}"] for name, value in sorted(self.counters.items())]
             lines.append("")
@@ -169,6 +199,19 @@ def summarize(run: RunLog) -> RunSummary:
     span_extent = hi - lo
     coverage = min(covered / span_extent, 1.0) if span_extent > 0 else 0.0
 
+    engines: dict[str, EngineThroughput] = {}
+    for sp in spans:
+        attrs = sp.get("attrs") or {}
+        if sp["name"] != "replay" or "accesses" not in attrs:
+            continue
+        engine = str(attrs.get("engine"))
+        stat = engines.get(engine)
+        if stat is None:
+            stat = engines[engine] = EngineThroughput(engine)
+        stat.replays += 1
+        stat.accesses += int(attrs["accesses"])
+        stat.total_s += sp["dur_s"]
+
     # Counters: last metrics snapshot per process, summed across processes
     # (each process owns a distinct registry, so summing never double-counts).
     last_per_pid: dict[int, dict] = {}
@@ -185,4 +228,5 @@ def summarize(run: RunLog) -> RunSummary:
         coverage=coverage,
         counters=counters,
         n_events=len(run.events),
+        engines=list(engines.values()),
     )

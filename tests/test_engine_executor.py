@@ -1,5 +1,9 @@
 """Tests for the parallel executor and the grid sweep layer."""
 
+import multiprocessing
+import os
+import signal
+
 import pytest
 
 import repro.engine.executor as executor_mod
@@ -9,6 +13,19 @@ from repro.engine.store import ResultStore
 from repro.engine.sweep import run_sweep
 
 LENGTH = 8_000
+
+#: The pool entry point ``_kill_first_call`` stands in for, and the
+#: marker file whose creation elects the one call that dies.
+_KILL = {"entry": None, "marker": None}
+
+
+def _kill_first_call(*args):
+    """Pool entry point: the first call SIGKILLs its worker."""
+    try:
+        os.close(os.open(_KILL["marker"], os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return _KILL["entry"](*args)
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _grid(designs=("baseline", "static-stt"), apps=("browser", "game")):
@@ -101,6 +118,27 @@ class TestRunJobs:
         ]
         with pytest.raises(ValueError):
             run_jobs(specs, jobs=2)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched entry point")
+    @pytest.mark.parametrize("entry", ["_timed_execute", "_prebuild_stream"])
+    def test_killed_worker_costs_a_retry_not_the_batch(self, entry, tmp_path, monkeypatch):
+        from repro import obs
+
+        specs = _grid()
+        serial = run_jobs(specs, jobs=1)
+        # an empty stream cache, so the batch opens with a prebuild wave
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setitem(_KILL, "entry", getattr(executor_mod, entry))
+        monkeypatch.setitem(_KILL, "marker", str(tmp_path / "killed"))
+        monkeypatch.setattr(executor_mod, entry, _kill_first_call)
+        respawns = obs.REGISTRY.counters.get("engine.pool.respawn", 0)
+        pooled = run_jobs(specs, jobs=2)
+        assert (tmp_path / "killed").exists()
+        assert obs.REGISTRY.counters["engine.pool.respawn"] == respawns + 1
+        assert [o.result for o in pooled] == [o.result for o in serial]
+        if entry == "_timed_execute":
+            assert any(o.attempts == 2 for o in pooled)
 
     def test_bad_jobs_count_rejected(self):
         with pytest.raises(ValueError, match="jobs"):

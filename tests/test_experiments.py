@@ -4,9 +4,12 @@ Figure/table functions run on shortened traces and app subsets here; the
 full-length versions are exercised by the benchmarks.
 """
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import CacheGeometry
+from repro.core.baseline import BaselineDesign
 from repro.engine import ResultStore
 from repro.experiments import (
     canonical_result,
@@ -14,6 +17,7 @@ from repro.experiments import (
     fig1_kernel_share,
     fig2_interference,
     fig3_size_sweep,
+    fig4_static_space,
     fig5_intervals,
     fig6_energy_breakdown,
     fig7_dynamic_timeline,
@@ -21,6 +25,7 @@ from repro.experiments import (
     format_percent,
     format_series,
     format_table,
+    run_design_on,
     suite_results,
     table1_configuration,
     table2_technology,
@@ -121,6 +126,27 @@ class TestFigures:
         assert sizes == sorted(sizes)
         assert rates[0] >= rates[-1]
         assert "Figure 3" in r.render()
+
+    def test_fig3_equals_per_design_runs(self):
+        sizes_kb = (128, 512, 2048)
+        r = fig3_size_sweep(SHORT, APPS, sizes_kb=sizes_kb)
+        expected = [
+            (kb * 1024, float(np.mean([
+                run_design_on(BaselineDesign(geometry=CacheGeometry(kb * 1024, kb // 64)),
+                              app, length=SHORT).l2_stats.demand_miss_rate
+                for app in APPS
+            ])))
+            for kb in sizes_kb
+        ]
+        assert list(r.points) == expected
+
+    def test_fig3_fig4_identical_under_kill_switch(self, monkeypatch):
+        fig3 = fig3_size_sweep(SHORT, APPS, sizes_kb=(256, 1024))
+        fig4 = fig4_static_space(SHORT, APPS, user_way_options=(4, 8), kernel_way_options=(2, 4))
+        monkeypatch.setenv("REPRO_FASTSIM", "0")
+        assert fig3_size_sweep(SHORT, APPS, sizes_kb=(256, 1024)) == fig3
+        assert fig4_static_space(
+            SHORT, APPS, user_way_options=(4, 8), kernel_way_options=(2, 4)) == fig4
 
     def test_fig5(self):
         r = fig5_intervals(SHORT, ("game",))

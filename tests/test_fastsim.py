@@ -13,24 +13,32 @@ envelope.  This file is that promise, tested three ways:
 4. the dynamic partition design's epoch-chunked kernel is swept over
    randomized controller x technology x burst-shape configurations and
    compared on the *whole* ``DesignResult`` (timelines and resize
-   counts included), plus its own dispatch rules.
+   counts included), plus its own dispatch rules;
+5. the all-associativity kernel (``simulate_ways``) is compared, way
+   count by way count, with per-geometry ``simulate_trace`` replays,
+   including its declines and the kill switch.
 """
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cache import fastsim
 from repro.cache.diffsim import (
     assert_case_equal,
     assert_dynamic_case_equal,
+    assert_ways_case_equal,
     sample_case,
     sample_dynamic_case,
+    sample_ways_case,
 )
 from repro.cache.hierarchy import l1_filter
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import DEFAULT_PLATFORM, CacheGeometry
 from repro.core.baseline import BaselineDesign
 from repro.core.multi_retention import multi_retention_design
+from repro.core.pipeline import replay_ways
+from repro.core.search import sweep_partitions
 from repro.core.static_partition import StaticPartitionDesign
 from repro.trace.access import Trace
 from repro.types import TRACE_DTYPE, AccessKind, Privilege
@@ -291,3 +299,94 @@ def test_dynamic_segment_rejects_bad_config():
         seg.set_powered_ways(0, tick=0)
     with pytest.raises(ValueError, match="new_powered"):
         seg.set_powered_ways(5, tick=0)
+
+
+# ----------------------------------------------------------------------
+# 5. the all-associativity kernel (one pass, every way count)
+
+
+WAYS_SEEDS = range(24)
+
+
+def _ways_equal_per_geometry(geometry, ways, addrs, privs, writes, demand):
+    got = fastsim.simulate_ways(geometry, ways, addrs, privs, writes, demand)
+    assert sorted(got) == sorted(set(ways))
+    for w in ways:
+        ref, _ = fastsim.simulate_trace(geometry.with_ways(w), None, addrs, privs, writes, demand)
+        assert got[w].to_dict() == ref.to_dict(), f"W={w}"
+    return got
+
+
+@pytest.mark.parametrize("seed", WAYS_SEEDS)
+def test_ways_kernel_matches_per_geometry_replay(seed):
+    assert_ways_case_equal(sample_ways_case(seed))
+
+
+def test_ways_kernel_empty_stream():
+    empty = np.zeros(0, dtype=np.uint64)
+    got = _ways_equal_per_geometry(
+        CacheGeometry(4096, 4), (1, 2, 8), empty, empty.astype(np.uint8),
+        empty.astype(bool), empty.astype(bool),
+    )
+    assert all(stats.accesses == 0 for stats in got.values())
+
+
+def test_ways_kernel_single_way():
+    rng = np.random.default_rng(5)
+    n = 3000
+    blocks = rng.integers(0, 96, size=n)
+    _ways_equal_per_geometry(
+        CacheGeometry(16 * 64, 1), (1,), (blocks * 64).astype(np.uint64),
+        (blocks % 3 == 0).astype(np.uint8), rng.random(n) < 0.4, rng.random(n) < 0.9,
+    )
+
+
+def test_ways_kernel_credits_dirty_blocks_left_on_the_stack():
+    # One set: four written blocks, then four reads push them to depths
+    # 4..7, and nothing is touched again.  Every W < 8 evicted 8 - W
+    # blocks, the written ones first, and none of them is re-referenced
+    # or falls off the stack: only end-of-set crediting counts them.
+    addrs = (np.arange(8, dtype=np.uint64) * np.uint64(64))
+    writes = np.arange(8) < 4
+    got = _ways_equal_per_geometry(
+        CacheGeometry(64, 1), range(1, 9), addrs, np.zeros(8, dtype=np.uint8),
+        writes, np.ones(8, dtype=bool),
+    )
+    assert [got[w].writebacks for w in range(1, 9)] == [4, 4, 4, 4, 3, 2, 1, 0]
+
+
+def test_ways_kernel_declines_mixed_privilege_blocks():
+    rng = np.random.default_rng(11)
+    n = 2500
+    blocks = rng.integers(0, 200, size=n)
+    privs = rng.integers(0, 2, size=n).astype(np.uint8)  # blocks shared by both
+    before = obs.REGISTRY.counters.get("fastsim.decline.mixed-privilege", 0)
+    _ways_equal_per_geometry(
+        CacheGeometry(8 * 64, 1), range(1, 13), (blocks * 64).astype(np.uint64), privs,
+        rng.random(n) < 0.3, rng.random(n) < 0.85,
+    )
+    assert obs.REGISTRY.counters["fastsim.decline.mixed-privilege"] == before + 1
+
+
+def test_ways_kernel_declines_wide_stacks():
+    rng = np.random.default_rng(12)
+    blocks = rng.integers(0, 150, size=800)
+    before = obs.REGISTRY.counters.get("fastsim.decline.ways", 0)
+    _ways_equal_per_geometry(
+        CacheGeometry(64, 1), (1, fastsim.MAX_STACK_WAYS + 1), (blocks * 64).astype(np.uint64),
+        np.zeros(800, dtype=np.uint8), rng.random(800) < 0.5, np.ones(800, dtype=bool),
+    )
+    assert obs.REGISTRY.counters["fastsim.decline.ways"] == before + 1
+
+
+def test_ways_kernel_rejects_bad_way_counts():
+    empty = np.zeros(0, dtype=np.uint64)
+    with pytest.raises(ValueError, match="positive"):
+        fastsim.simulate_ways(CacheGeometry(4096, 4), (0, 2), empty, empty, empty, empty)
+
+
+def test_ways_kill_switch(browser_stream_small, monkeypatch):
+    fast = sweep_partitions([browser_stream_small], DEFAULT_PLATFORM, (2, 4), (1, 3))
+    monkeypatch.setenv("REPRO_FASTSIM", "0")
+    assert replay_ways("baseline", browser_stream_small, DEFAULT_PLATFORM.l2, (2, 4)) is None
+    assert sweep_partitions([browser_stream_small], DEFAULT_PLATFORM, (2, 4), (1, 3)) == fast

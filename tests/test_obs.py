@@ -205,6 +205,60 @@ class TestResultsUnperturbed:
         assert any(e["type"] == "span" for e in load_run(tmp_path / "traced.jsonl").events)
 
 
+class TestReplayWorkSize:
+    """Every ``replay`` span records its work size, so throughput per
+    engine can be read from a run log alone."""
+
+    def replay_spans(self, log):
+        return [e for e in load_run(log).spans() if e["name"] == "replay"]
+
+    def test_every_replay_loop_records_accesses(self, browser_stream_small, tmp_path):
+        from repro.core.drowsy import DrowsySRAMDesign
+        from repro.core.hybrid import HybridPartitionDesign
+
+        log = tmp_path / "replays.jsonl"
+        obs.configure(log)
+        try:
+            make_design("baseline").run(browser_stream_small, DEFAULT_PLATFORM)
+            for design in (make_design("baseline"), make_design("dynamic-stt"),
+                           DrowsySRAMDesign(), HybridPartitionDesign()):
+                design.run(browser_stream_small, DEFAULT_PLATFORM, engine="reference")
+        finally:
+            obs.configure(None)
+        spans = self.replay_spans(log)
+        loops = {(sp["attrs"]["engine"], sp["attrs"].get("loop")) for sp in spans}
+        assert loops == {("fastsim", None), ("reference", "fixed"),
+                         ("reference", "epochs"), ("reference", "routed")}
+        assert all(sp["attrs"]["accesses"] == len(browser_stream_small) for sp in spans)
+
+    def test_all_ways_span_records_engine_w_max_and_accesses(self, tmp_path):
+        from repro.core.search import sweep_partitions
+
+        stream = l1_filter(suite_trace("game", 12000, 3), DEFAULT_PLATFORM)
+        untraced = sweep_partitions([stream], DEFAULT_PLATFORM, (2, 6), (1, 3))
+        obs.REGISTRY.reset()
+        log = tmp_path / "ways.jsonl"
+        obs.configure(log)
+        try:
+            traced = sweep_partitions([stream], DEFAULT_PLATFORM, (2, 6), (1, 3))
+            obs.recorder().metrics()
+        finally:
+            obs.configure(None)
+        assert traced == untraced
+        spans = self.replay_spans(log)
+        kernel_rows = int(stream.privs.sum())
+        assert [(sp["attrs"]["engine"], sp["attrs"]["w_max"], sp["attrs"]["accesses"])
+                for sp in spans] == [("fastsim-ways", 6, len(stream) - kernel_rows),
+                                     ("fastsim-ways", 3, kernel_rows)]
+        summary = summarize(load_run(log))
+        assert summary.counters["pipeline.dispatch.fastsim-ways"] == 2
+        (engine,) = summary.engines
+        assert engine.engine == "fastsim-ways"
+        assert engine.replays == 2 and engine.accesses == len(stream)
+        assert engine.maccess_per_s > 0
+        assert "replay throughput by engine" in summary.render()
+
+
 class TestDispatchCounters:
     def test_auto_dispatch_counts_fastsim(self, browser_stream_small):
         make_design("baseline").run(browser_stream_small, DEFAULT_PLATFORM)
