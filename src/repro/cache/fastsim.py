@@ -10,9 +10,9 @@ replays an *entire trace at once* instead:
    trace by set (one stable argsort); every scalar counter that does not
    depend on hit/miss outcomes (access totals, privilege and write splits)
    is reduced vectorially.
-2. Each set is then replayed by a tight loop over packed parallel arrays
-   (tag / privilege / dirty / last-refresh, plus an integer LRU recency
-   sequence) — no objects, no dispatch, no per-access allocation.
+2. Each set is then replayed by a tight loop over packed parallel lists
+   (tag / privilege / dirty, plus a move-to-back LRU order) — no
+   objects, no dispatch, no per-access allocation.
 
 The kernel is **bit-identical** to the reference engine inside its
 supported envelope (checked by :func:`supports_cache`):
@@ -21,18 +21,24 @@ supported envelope (checked by :func:`supports_cache`):
 * fixed geometry: no power gating, no drowsy mode,
 * retention ``none``, or ``invalidate`` with the fixed-window model.
 
-:func:`simulate_ways` is the all-associativity form of the same LRU
-replay: by stack inclusion, one pass over per-set recency stacks gives
-the stats of every way count at a fixed set count (the Figure 3 size
-sweep and the static-partition search use it).
+The module has exactly three per-access LRU loops:
 
-On top of the whole-trace kernel, :class:`EpochReplaySegment` extends
-the envelope to the dynamic partition design's **epoch-chunked replay**:
-the geometry stays fixed *within* a chunk (one controller epoch), while
-powered-way gating and wake-on-first-access are applied between chunks —
-exactly where the reference engine applies them — so the epoch
-controller's decisions, timelines and resize counters come out
-bit-identical too.
+* ``_replay_sets`` — fixed geometry without retention (the L1 filter,
+  which alone records per-miss events, and every SRAM segment);
+* :meth:`EpochReplaySegment.replay_chunk` — everything with a retention
+  window or way gating.  It replays the dynamic partition design's
+  **epoch-chunked** stream: the geometry stays fixed *within* a chunk
+  (one controller epoch), while powered-way gating and
+  wake-on-first-access are applied between chunks — exactly where the
+  reference engine applies them — so the epoch controller's decisions,
+  timelines and resize counters come out bit-identical too.  A fixed
+  ``invalidate`` replay through :func:`simulate_trace` is the same
+  segment run as one chunk, so the retention rules live in one place;
+* ``_stack_sets`` — behind :func:`simulate_ways`, the all-associativity
+  form of the LRU replay: by stack inclusion, one pass over per-set
+  recency stacks gives the stats of every way count at a fixed set
+  count (the Figure 3 size sweep and the static-partition search use
+  it).
 
 Everything outside the envelope — ``rewrite`` refresh, exponential
 retention lifetimes, non-LRU policies, drowsy voltage tracking, and any
@@ -135,15 +141,20 @@ def simulate_trace(
     Args:
         geometry: Cache geometry (fixed for the whole run).
         ticks, addrs, privs, writes: Parallel access columns (any
-            array-likes; addresses may carry sub-block offsets).
+            array-likes; addresses may carry sub-block offsets).  Only a
+            replay with a retention window reads ``ticks``.
         demand: Optional demand-fetch mask; ``None`` means every access
             is a demand access (the L1 case).
         retention_ticks: Fixed retention window, or ``None``.
-        refresh_mode: ``"none"`` or ``"invalidate"`` (the envelope).
+        refresh_mode: ``"none"`` or ``"invalidate"`` (the envelope).  An
+            ``"invalidate"`` replay runs as one chunk of an
+            :class:`EpochReplaySegment`, the kernel that owns the
+            retention rules.
         finalize_tick: When given, settle end-of-simulation accounting at
             this tick exactly like ``SetAssociativeCache.finalize`` (the
             expiry write-backs of dirty blocks that decayed unobserved).
-        record_events: Collect a :class:`MissEvents` side channel.
+        record_events: Collect a :class:`MissEvents` side channel
+            (retention-free replays only).
         orig_indices: Caller-space index of each access, recorded in the
             events (defaults to 0..n-1).
 
@@ -151,15 +162,23 @@ def simulate_trace(
         ``(stats, events)`` — ``stats`` is bit-identical to the reference
         engine's counters; ``events`` is ``None`` unless requested.
     """
-    if refresh_mode not in SUPPORTED_REFRESH_MODES:
-        raise ValueError(
-            f"fastsim supports refresh modes {SUPPORTED_REFRESH_MODES}, got {refresh_mode!r}"
-        )
-    if refresh_mode == "invalidate" and retention_ticks is None:
-        raise ValueError("refresh_mode 'invalidate' needs a finite retention_ticks")
-
     addrs = np.asarray(addrs, dtype=np.uint64)
     n = len(addrs)
+    if refresh_mode != "none":
+        seg = EpochReplaySegment(
+            geometry, retention_ticks=retention_ticks, refresh_mode=refresh_mode,
+            min_rank_accesses=n + 1,
+        )
+        if record_events:
+            raise ValueError("record_events needs refresh_mode 'none'")
+        seg.load(ticks, addrs, privs, writes,
+                 np.ones(n, dtype=bool) if demand is None else demand,
+                 np.zeros(n, dtype=np.int64), 1)
+        seg.replay_chunk(0)
+        if finalize_tick is not None:
+            seg.finalize(finalize_tick)
+        return seg.stats, None
+
     stats = CacheStats()
     events = MissEvents([], [], np.zeros(0, dtype=np.uint64), []) if record_events else None
     if n == 0:
@@ -192,8 +211,8 @@ def simulate_trace(
     starts = starts.tolist()
 
     # Bulk-convert the sorted columns to plain Python values once; the
-    # per-set loops below then run on C-backed lists, not numpy scalars.
-    # Columns a given replay variant never reads are not converted.
+    # per-set loop below then runs on C-backed lists, not numpy scalars.
+    # The demand and event-index columns are converted only when read.
     s_tags = tags[order].tolist()
     s_privs = privs[order].tolist()
     s_writes = writes[order].tolist()
@@ -209,19 +228,10 @@ def simulate_trace(
     else:
         s_orig = None
 
-    if refresh_mode == "none":
-        counters, wb_set, wb_tag = _replay_sets(
-            ways, active_sets, starts, s_tags, s_privs, s_writes,
-            s_demand, s_orig, events,
-        )
-    else:
-        s_ticks = np.asarray(ticks)[order].tolist()
-        counters, wb_set, wb_tag = _replay_sets_retention(
-            ways, active_sets, starts, s_ticks, s_tags, s_privs, s_writes,
-            s_demand, s_orig, events, retention_ticks, finalize_tick,
-        )
     (misses, kernel_misses, demand_misses, evictions, writebacks,
-     expiry_invalidations, expiry_writebacks, ec00, ec01, ec10, ec11) = counters
+     ec00, ec01, ec10, ec11), wb_set, wb_tag = _replay_sets(
+        ways, active_sets, starts, s_tags, s_privs, s_writes, s_demand, s_orig, events,
+    )
 
     if events is not None and wb_tag:
         events.wb_addr = (
@@ -236,8 +246,6 @@ def simulate_trace(
     stats.fills = misses
     stats.evictions = evictions
     stats.writebacks = writebacks
-    stats.expiry_invalidations = expiry_invalidations
-    stats.expiry_writebacks = expiry_writebacks
     stats.demand_accesses = demand_accesses
     stats.demand_misses = misses if demand is None else demand_misses
     stats.write_accesses = write_accesses
@@ -248,8 +256,8 @@ def simulate_trace(
 
 
 def _replay_sets(ways, active_sets, starts, TG, PV, WR, DM, OR, events):
-    """Per-set replay without retention, optionally tracking the demand
-    column and recording per-miss events.
+    """Per-set replay of a fixed, retention-free cache, optionally
+    tracking the demand column and recording per-miss events.
 
     LRU state is a move-to-back way list (front = least recent).  Recency
     sequences are unique and strictly increasing, so the list stays in
@@ -325,114 +333,7 @@ def _replay_sets(ways, active_sets, starts, TG, PV, WR, DM, OR, events):
                 privw[w] = priv
                 dirty[w] = isw
     counters = (misses, kernel_misses, demand_misses, evictions, writebacks,
-                0, 0, ec[0], ec[1], ec[2], ec[3])
-    return counters, wb_set, wb_tag
-
-
-def _replay_sets_retention(ways, active_sets, starts, T, TG, PV, WR, DM, OR,
-                           events, window, finalize_tick):
-    """Per-set replay with fixed-window invalidate-on-expiry retention.
-
-    Mirrors the reference engine access path exactly: an expired resident
-    block turns its access into an expiry invalidation + plain miss; the
-    fill frame is the lowest free way, else the lowest expired way
-    (reclaimed without eviction accounting), else the LRU victim.
-    """
-    misses = kernel_misses = demand_misses = 0
-    evictions = writebacks = 0
-    expiry_invalidations = expiry_writebacks = 0
-    ec = [0, 0, 0, 0]
-    track_dm = DM is not None
-    record = events is not None
-    wb_set: list = []
-    wb_tag: list = []
-    if record:
-        miss_idx = events.miss_idx
-        wb_idx = events.wb_idx
-        wb_priv = events.wb_priv
-    way_range = range(ways)
-    for s in active_sets:
-        lo, hi = starts[s], starts[s + 1]
-        tagmap: dict = {}
-        mget = tagmap.get
-        valid = [False] * ways
-        tagw = [0] * ways
-        privw = [0] * ways
-        dirty = [False] * ways
-        lastref = [0] * ways
-        seqs = [0] * ways
-        seqc = 0
-        for tick, tag, priv, isw, dm, oi in zip(
-            T[lo:hi], TG[lo:hi], PV[lo:hi], WR[lo:hi],
-            DM[lo:hi] if track_dm else TG[lo:hi],
-            OR[lo:hi] if record else TG[lo:hi],
-        ):
-            seqc += 1
-            w = mget(tag)
-            if w is not None:
-                if tick - lastref[w] > window:
-                    # Resident but decayed: a retention-caused miss.
-                    expiry_invalidations += 1
-                    if dirty[w]:
-                        expiry_writebacks += 1
-                    valid[w] = False
-                    del tagmap[tag]
-                else:
-                    seqs[w] = seqc
-                    if isw:
-                        dirty[w] = True
-                        lastref[w] = tick  # a store rewrites the cells
-                    continue
-            misses += 1
-            if priv:
-                kernel_misses += 1
-            if track_dm and dm:
-                demand_misses += 1
-            if record:
-                miss_idx.append(oi)
-            target = -1
-            expired_way = -1
-            for i in way_range:
-                if not valid[i]:
-                    target = i
-                    break
-                if expired_way < 0 and tick - lastref[i] > window:
-                    expired_way = i
-            if target < 0:
-                if expired_way >= 0:
-                    # Reclaim a decayed frame: not an interference eviction.
-                    target = expired_way
-                    if dirty[target]:
-                        expiry_writebacks += 1
-                    del tagmap[tagw[target]]
-                else:
-                    target = seqs.index(min(seqs))
-                    evictions += 1
-                    vp = privw[target]
-                    ec[(vp << 1) | priv] += 1
-                    if dirty[target]:
-                        writebacks += 1
-                        if record:
-                            wb_idx.append(oi)
-                            wb_set.append(s)
-                            wb_tag.append(tagw[target])
-                            wb_priv.append(vp)
-                    del tagmap[tagw[target]]
-            valid[target] = True
-            tagw[target] = tag
-            privw[target] = priv
-            dirty[target] = isw
-            lastref[target] = tick
-            seqs[target] = seqc
-            tagmap[tag] = target
-        if finalize_tick is not None:
-            # SetAssociativeCache.finalize: drain dirty blocks that decayed
-            # unobserved before the end of the simulated window.
-            for i in way_range:
-                if valid[i] and dirty[i] and finalize_tick - lastref[i] > window:
-                    expiry_writebacks += 1
-    counters = (misses, kernel_misses, demand_misses, evictions, writebacks,
-                expiry_invalidations, expiry_writebacks, ec[0], ec[1], ec[2], ec[3])
+                ec[0], ec[1], ec[2], ec[3])
     return counters, wb_set, wb_tag
 
 
@@ -677,7 +578,9 @@ class EpochReplaySegment:
     retention ``none`` or fixed-window ``invalidate``, and power-gated
     ways with either gating semantics (``retains_when_gated`` True keeps
     contents through a gate like non-volatile STT-RAM; False invalidates
-    like SRAM).
+    like SRAM).  :func:`simulate_trace` runs every fixed ``invalidate``
+    replay as a single chunk of one of these segments, with
+    ``min_rank_accesses`` above the row count so ranks are never tracked.
     """
 
     def __init__(

@@ -26,7 +26,7 @@ awake/drowsy leakage split) instead of assembling results by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -500,21 +500,31 @@ def replay_ways(
     geometry: CacheGeometry,
     ways: Sequence[int],
     rows: np.ndarray | None = None,
-) -> dict[int, CacheStats] | None:
-    """Stats of one retention-free LRU segment per way count, in one pass.
+) -> dict[int, CacheStats]:
+    """Stats of one retention-free LRU segment per way count.
 
-    Replays ``stream`` (or the rows its boolean mask ``rows`` selects)
-    through the all-associativity kernel
-    (:func:`repro.cache.fastsim.simulate_ways`): ``out[W]`` is what a
-    ``geometry.with_ways(W)`` LRU segment with retention ``none`` would
-    report, for every ``W`` in ``ways``.  Returns None under the
-    ``REPRO_FASTSIM`` kill switch; the caller then runs its designs one
-    configuration at a time.
+    ``out[W]`` is what a ``geometry.with_ways(W)`` LRU segment with
+    retention ``none`` reports for ``stream`` (or the rows its boolean
+    mask ``rows`` selects), for every ``W`` in ``ways``.  The
+    all-associativity kernel (:func:`repro.cache.fastsim.simulate_ways`)
+    gives every ``W`` in one pass; under the ``REPRO_FASTSIM`` kill
+    switch each ``W`` replays through a reference
+    :class:`SetAssociativeCache` instead.
     """
     from repro.cache import fastsim
 
     if not fastsim.enabled():
-        return None
+        if rows is not None:
+            stream = replace(stream, **{name: col[rows] for name, col in stream.columns().items()})
+        out = {}
+        for w in ways:
+            obs.inc("pipeline.dispatch.reference")
+            cache = SetAssociativeCache(geometry.with_ways(w), "lru")
+            ReplaySession(design_name, stream, "reference").replay_routed(lambda priv: cache)
+            out[w] = cache.stats
+        return out
+    # The all-ways kernel never reads ticks; leaving the (memory-mapped)
+    # column untouched keeps its pages out of the resident set.
     cols = [stream.addrs, stream.privs, stream.writes, stream.demand]
     if rows is not None:
         cols = [col[rows] for col in cols]

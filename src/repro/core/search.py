@@ -18,7 +18,6 @@ from repro.cache.stats import CacheStats
 from repro.config import PlatformConfig
 from repro.core.baseline import BaselineDesign
 from repro.core.pipeline import replay_ways
-from repro.core.static_partition import StaticPartitionDesign
 from repro.types import Privilege
 
 __all__ = ["PartitionPoint", "sweep_partitions", "choose_partition", "find_static_partition"]
@@ -60,8 +59,7 @@ def _segment_rates(
     two all-associativity passes (:func:`~repro.core.pipeline.replay_ways`):
     its user rows up to the largest user option, its kernel rows up to
     the largest kernel option.  The per-segment stats merge exactly as
-    ``DesignResult.l2_stats`` merges them.  Under the ``REPRO_FASTSIM``
-    kill switch every point runs its ``StaticPartitionDesign`` instead.
+    ``DesignResult.l2_stats`` merges them.
     """
     rates: dict[tuple[int, int], tuple[list, list, list]] = {
         (uw, kw): ([], [], []) for uw in user_way_options for kw in kernel_way_options
@@ -71,12 +69,7 @@ def _segment_rates(
         user = replay_ways("static", stream, platform.l2, user_way_options, ~kernel_rows)
         kernel = replay_ways("static", stream, platform.l2, kernel_way_options, kernel_rows)
         for (uw, kw), (overall, user_mr, kernel_mr) in rates.items():
-            if user is None or kernel is None:
-                result = StaticPartitionDesign(user_ways=uw, kernel_ways=kw).run(stream, platform)
-                user_stats = result.segment("user").stats
-                kernel_stats = result.segment("kernel").stats
-            else:
-                user_stats, kernel_stats = user[uw], kernel[kw]
+            user_stats, kernel_stats = user[uw], kernel[kw]
             overall.append(CacheStats().merge(user_stats).merge(kernel_stats).demand_miss_rate)
             user_mr.append(user_stats.demand_miss_rate)
             kernel_mr.append(kernel_stats.demand_miss_rate)

@@ -179,8 +179,7 @@ def fig3_size_sweep(
     The sweep holds the set count at the baseline's 1024 and varies the
     way count (2..32) — exactly what shrinking/growing a way-organised
     array does.  LRU inclusion gives every size from one pass per app
-    (:func:`~repro.core.pipeline.replay_ways`); under the
-    ``REPRO_FASTSIM`` kill switch each size runs a ``BaselineDesign``.
+    (:func:`~repro.core.pipeline.replay_ways`).
     """
     for size_kb in sizes_kb:
         if size_kb % 64:
@@ -192,11 +191,7 @@ def fig3_size_sweep(
         stream = experiment_stream(app, length)
         stats = replay_ways("baseline", stream, one_way, ways)
         for w, size_rates in zip(ways, rates):
-            if stats is None:
-                design = BaselineDesign(geometry=one_way.with_ways(w))
-                size_rates.append(design.run(stream, DEFAULT_PLATFORM).l2_stats.demand_miss_rate)
-            else:
-                size_rates.append(stats[w].demand_miss_rate)
+            size_rates.append(stats[w].demand_miss_rate)
     return SizeSweepResult(tuple(
         (size_kb * 1024, float(np.mean(r))) for size_kb, r in zip(sizes_kb, rates)
     ))

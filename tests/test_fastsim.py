@@ -19,6 +19,8 @@ envelope.  This file is that promise, tested three ways:
    including its declines and the kill switch.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,13 +152,50 @@ def test_fast_l1_filter_empty_trace(tiny_platform):
     ids=["baseline", "static", "static-stt"],
 )
 def test_fixed_designs_match_reference(design_factory, browser_stream_small):
-    design = design_factory()
-    ref = design.run(browser_stream_small, DEFAULT_PLATFORM, engine="reference")
-    fast = design.run(browser_stream_small, DEFAULT_PLATFORM, engine="fast")
+    _assert_engines_agree(design_factory(), browser_stream_small, DEFAULT_PLATFORM)
+
+
+def _assert_engines_agree(design, stream, platform):
+    """Run ``design`` on both engines; return the fast result."""
+    ref = design.run(stream, platform, engine="reference")
+    fast = design.run(stream, platform, engine="fast")
     ref_d, fast_d = ref.to_dict(), fast.to_dict()
     assert ref_d["extras"].pop("sim_engine") == "reference"
     assert fast_d["extras"].pop("sim_engine") == "fastsim"
     assert ref_d == fast_d
+    return fast
+
+
+# At 10 MHz the retention windows are 100x shorter in ticks than at the
+# default 1 GHz, so blocks on the small browser stream decay while
+# resident and unobserved: both retention rules fire.
+SLOW_CLOCK = dataclasses.replace(DEFAULT_PLATFORM, clock_hz=1e7)
+
+
+def test_static_stt_matches_reference_where_retention_expires(browser_stream_small):
+    stats = _assert_engines_agree(
+        multi_retention_design(), browser_stream_small, SLOW_CLOCK).l2_stats
+    assert stats.expiry_invalidations > 0
+    assert stats.expiry_writebacks > 0
+
+
+def test_static_stt_matches_reference_with_an_empty_segment(browser_stream_small):
+    """A user-only stream leaves the kernel segment without a single row."""
+    user_rows = browser_stream_small.privs == np.uint8(Privilege.USER)
+    user_only = dataclasses.replace(browser_stream_small, **{
+        name: col[user_rows] for name, col in browser_stream_small.columns().items()
+    })
+    result = _assert_engines_agree(multi_retention_design(), user_only, SLOW_CLOCK)
+    assert result.segment("kernel").stats.accesses == 0
+    assert result.segment("user").stats.expiry_invalidations > 0
+
+
+def test_kernel_records_no_events_with_retention():
+    geometry = CacheGeometry(4096, 4)
+    empty = np.zeros(0, dtype=np.uint64)
+    with pytest.raises(ValueError, match="record_events"):
+        fastsim.simulate_trace(geometry, empty, empty, empty, empty, retention_ticks=100,
+                               refresh_mode="invalidate", record_events=True)
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +425,12 @@ def test_ways_kernel_rejects_bad_way_counts():
 
 
 def test_ways_kill_switch(browser_stream_small, monkeypatch):
-    fast = sweep_partitions([browser_stream_small], DEFAULT_PLATFORM, (2, 4), (1, 3))
+    """Under the kill switch every way count replays through the
+    reference engine, one counted replay per way count."""
+    fast = replay_ways("baseline", browser_stream_small, DEFAULT_PLATFORM.l2, (2, 4))
+    fast_points = sweep_partitions([browser_stream_small], DEFAULT_PLATFORM, (2, 4), (1, 3))
     monkeypatch.setenv("REPRO_FASTSIM", "0")
-    assert replay_ways("baseline", browser_stream_small, DEFAULT_PLATFORM.l2, (2, 4)) is None
-    assert sweep_partitions([browser_stream_small], DEFAULT_PLATFORM, (2, 4), (1, 3)) == fast
+    before = obs.REGISTRY.counters.get("pipeline.dispatch.reference", 0)
+    assert replay_ways("baseline", browser_stream_small, DEFAULT_PLATFORM.l2, (2, 4)) == fast
+    assert obs.REGISTRY.counters["pipeline.dispatch.reference"] == before + 2
+    assert sweep_partitions([browser_stream_small], DEFAULT_PLATFORM, (2, 4), (1, 3)) == fast_points

@@ -258,6 +258,20 @@ class TestReplayWorkSize:
         assert engine.maccess_per_s > 0
         assert "replay throughput by engine" in summary.render()
 
+    def test_all_ways_spans_under_the_kill_switch_name_the_reference_engine(
+            self, browser_stream_small, tmp_path, monkeypatch):
+        from repro.core.pipeline import replay_ways
+
+        monkeypatch.setenv("REPRO_FASTSIM", "0")
+        log = tmp_path / "ways-reference.jsonl"
+        obs.configure(log)
+        try:
+            replay_ways("baseline", browser_stream_small, DEFAULT_PLATFORM.l2, (2, 4))
+        finally:
+            obs.configure(None)
+        assert [(sp["attrs"]["engine"], sp["attrs"]["accesses"])
+                for sp in self.replay_spans(log)] == [("reference", len(browser_stream_small))] * 2
+
 
 class TestDispatchCounters:
     def test_auto_dispatch_counts_fastsim(self, browser_stream_small):

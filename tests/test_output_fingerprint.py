@@ -7,7 +7,9 @@ produces.  This test holds digests of two output sets, computed at
 40k trace accesses per app (seed 0):
 
 * a reduced canonical grid — the four canonical designs on two apps;
-* the Figure 3 points and the Figure 4 points, choice and baseline.
+* the Figure 3 points and the Figure 4 points, choice and baseline;
+* the L2 streams of the grid's two apps: every column, the trace
+  context and the L1 stats (the L1 filter's output).
 
 It fails when any output changes under an unchanged version.  After an
 intended change, bump ``SCHEMA_VERSION`` and record the new digests::
@@ -23,9 +25,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.designs import DESIGN_NAMES
 from repro.engine import JobSpec, run_jobs
 from repro.engine.spec import SCHEMA_VERSION, canonical_json
+from repro.engine.streamcache import experiment_stream
 from repro.experiments.figures import fig3_size_sweep, fig4_static_space
 
 DATA = Path(__file__).parent / "data" / "output_fingerprints.json"
@@ -51,7 +56,17 @@ def fingerprints() -> dict[str, str]:
         "fig4_chosen": dataclasses.asdict(fig4.chosen),
         "fig4_baseline": fig4.baseline_miss_rate,
     }
-    return {"grid": _digest(grid), "figures": _digest(figures)}
+    streams = {}
+    for app in GRID_APPS:
+        stream = experiment_stream(app, LENGTH)
+        streams[app] = {
+            "columns": {
+                name: hashlib.sha256(np.ascontiguousarray(col).tobytes()).hexdigest()
+                for name, col in stream.columns().items()
+            },
+            "context": stream.context(),
+        }
+    return {"grid": _digest(grid), "figures": _digest(figures), "streams": _digest(streams)}
 
 
 def test_outputs_match_the_digests_pinned_for_this_schema_version():
