@@ -13,9 +13,15 @@ asserts the two produce bit-identical counters, and that the kernel
 clears its >= 5x performance contract (see ``docs/performance.md``).
 A third differential bench does the same for the dynamic partition
 design, whose epoch-chunked kernel carries a >= 3x end-to-end contract
-on the canonical ``dynamic-stt`` workload.
+on the canonical ``dynamic-stt`` workload; two more cover the fast
+path's retention-free extensions on the same stream — the baseline
+with a bank-level DRAM model (fed the replay's miss events) and the
+drowsy SRAM design (awake-time accounting on the segment kernel) —
+each with a >= 2x end-to-end contract.
 """
 
+import dataclasses
+import functools
 import time
 
 import numpy as np
@@ -25,8 +31,11 @@ from repro.cache.fastsim import simulate_trace
 from repro.cache.hierarchy import l1_filter
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import CacheGeometry, PlatformConfig
+from repro.core.baseline import BaselineDesign
 from repro.core.designs import make_design
+from repro.core.drowsy import DrowsySRAMDesign
 from repro.core.dynamic_partition import DynamicPartitionDesign
+from repro.dram import DRAMModel
 from repro.obs.trace import NULL_SPAN
 from repro.trace.workloads import suite_trace
 
@@ -42,6 +51,11 @@ MIN_SPEEDUP = 5.0
 #: this factor end to end on the canonical ``dynamic-stt`` workload
 #: (design construction, controller steps and result assembly included).
 DYNAMIC_MIN_SPEEDUP = 3.0
+
+#: The baseline with a bank-level DRAM model and the drowsy SRAM design
+#: must each beat the reference engine by at least this factor end to
+#: end on the canonical stream.
+EXTENSION_MIN_SPEEDUP = 2.0
 
 #: Disabled observability instrumentation (the no-op recorder plus the
 #: always-on counters) may cost at most this fraction of a canonical
@@ -126,44 +140,86 @@ def test_fastsim_speedup(benchmark):
     )
 
 
-def test_dynamic_fast_path_speedup(benchmark):
-    """Differential throughput of the dynamic design's two engines.
-
-    Runs the full ``DynamicPartitionDesign.run`` (epoch-chunked kernel
-    vs the per-access reference loop) on the canonical dynamic-stt
-    workload, asserts the two results are bit-identical apart from the
-    ``sim_engine`` tag, and that the fast path clears its >= 3x
-    end-to-end contract (see ``docs/performance.md``).
-    """
+@functools.lru_cache(maxsize=1)
+def _canonical_stream():
     platform = PlatformConfig()
     trace = suite_trace(DYNAMIC_APP, length=DYNAMIC_TRACE_LEN, seed=7)
-    stream = l1_filter(trace, platform)
-    design = DynamicPartitionDesign()
+    return platform, l1_filter(trace, platform)
 
-    fast_result = benchmark(design.run, stream, platform, "fast")
+
+def _comparable(result) -> dict:
+    """``to_dict()`` without the engine tag; DRAM stats as a plain dict."""
+    extras = {k: v for k, v in result.extras.items() if k != "sim_engine"}
+    if "dram_stats" in extras:
+        extras["dram_stats"] = dataclasses.asdict(extras["dram_stats"])
+    return dataclasses.replace(result, extras=extras).to_dict()
+
+
+def _assert_design_speedup(benchmark, label, run, min_speedup):
+    """Differential throughput of one design's two engines.
+
+    ``run(engine)`` replays the canonical stream end to end (design
+    construction and result assembly included).  The fast path is timed
+    with real benchmark rounds, the reference engine best of 3; the two
+    results must be bit-identical apart from the ``sim_engine`` tag.
+    """
+    _, stream = _canonical_stream()
+    fast_result = benchmark(run, "fast")
 
     ref_best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        ref_result = design.run(stream, platform, engine="reference")
+        ref_result = run("reference")
         ref_best = min(ref_best, time.perf_counter() - t0)
 
-    fast_dict, ref_dict = fast_result.to_dict(), ref_result.to_dict()
-    assert fast_dict["extras"].pop("sim_engine") == "fastsim"
-    assert ref_dict["extras"].pop("sim_engine") == "reference"
-    assert fast_dict == ref_dict
+    assert fast_result.extras["sim_engine"] == "fastsim"
+    assert ref_result.extras["sim_engine"] == "reference"
+    assert _comparable(fast_result) == _comparable(ref_result)
 
     fast_best = benchmark.stats["min"]
     speedup = ref_best / fast_best
     n = len(stream.ticks)
     print(
-        f"\ndynamic-stt: reference {n / ref_best / 1e6:.2f} M accesses/s, "
+        f"\n{label}: reference {n / ref_best / 1e6:.2f} M accesses/s, "
         f"fast path {n / fast_best / 1e6:.2f} M accesses/s, "
         f"speedup {speedup:.1f}x"
     )
-    assert speedup >= DYNAMIC_MIN_SPEEDUP, (
-        f"dynamic fast path speedup {speedup:.2f}x below the "
-        f"{DYNAMIC_MIN_SPEEDUP:.0f}x contract"
+    assert speedup >= min_speedup, (
+        f"{label} fast path speedup {speedup:.2f}x below the {min_speedup:.0f}x contract"
+    )
+
+
+def test_dynamic_fast_path_speedup(benchmark):
+    """The dynamic design (epoch-chunked kernel vs the per-access
+    reference loop) on the canonical dynamic-stt workload: >= 3x."""
+    platform, stream = _canonical_stream()
+    design = DynamicPartitionDesign()
+    _assert_design_speedup(
+        benchmark, "dynamic-stt", lambda engine: design.run(stream, platform, engine),
+        DYNAMIC_MIN_SPEEDUP,
+    )
+
+
+def test_dram_fast_path_speedup(benchmark):
+    """The baseline with a bank-level DRAM model (miss events fed to a
+    fresh model per run vs the interleaved reference loop): >= 2x."""
+    platform, stream = _canonical_stream()
+    _assert_design_speedup(
+        benchmark, "baseline+DRAM",
+        lambda engine: BaselineDesign().run(
+            stream, platform, dram_model=DRAMModel(), engine=engine),
+        EXTENSION_MIN_SPEEDUP,
+    )
+
+
+def test_drowsy_fast_path_speedup(benchmark):
+    """The drowsy SRAM design (one-chunk segment kernel vs the routed
+    reference loop): >= 2x."""
+    platform, stream = _canonical_stream()
+    _assert_design_speedup(
+        benchmark, "drowsy",
+        lambda engine: DrowsySRAMDesign().run(stream, platform, engine),
+        EXTENSION_MIN_SPEEDUP,
     )
 
 

@@ -16,6 +16,15 @@ has its own sampler, :func:`sample_ways_case`: every way count up to the
 case's ``W_max`` must equal a :func:`~repro.cache.fastsim.simulate_trace`
 replay of that geometry.
 
+Two more samplers cover the kernel's retention-free extensions:
+:func:`sample_drowsy_case` compares drowsy awake-time accounting
+(``SetAssociativeCache(drowsy_window=...)`` against a one-chunk
+:class:`~repro.cache.fastsim.EpochReplaySegment`), and
+:func:`sample_dram_case` compares a bank-level DRAM model fed by
+``ReplaySession.replay_fixed`` with one fed the fast replay's miss
+events (:func:`~repro.cache.fastsim.try_run_fixed`), over one shared
+or two privilege-split segments.
+
 Workloads are deliberately adversarial for the envelope: sub-block
 address offsets, skewed set pressure, both privilege levels, write-back
 (non-demand) rows, and — for the retention cases — tick gaps sampled
@@ -25,20 +34,28 @@ reclaims and finalize-time drains all fire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from repro.cache.fastsim import simulate_trace, simulate_ways
+from repro.cache.fastsim import replay_one_chunk, simulate_trace, simulate_ways, try_run_fixed
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.config import CacheGeometry, PlatformConfig
+from repro.dram.model import DRAMConfig, DRAMModel
 
 __all__ = [
     "DiffCase",
     "sample_case",
     "run_case",
     "assert_case_equal",
+    "sample_drowsy_case",
+    "run_drowsy_case",
+    "assert_drowsy_case_equal",
+    "DRAMDiffCase",
+    "sample_dram_case",
+    "run_dram_case",
+    "assert_dram_case_equal",
     "WaysDiffCase",
     "sample_ways_case",
     "run_ways_case",
@@ -66,6 +83,7 @@ class DiffCase:
     write_frac: float
     kernel_frac: float
     wb_frac: float              # fraction of rows marked non-demand
+    drowsy_window: int | None = None
 
     @property
     def geometry(self) -> CacheGeometry:
@@ -78,6 +96,7 @@ class DiffCase:
             f"seed={self.seed} {self.sets}x{self.ways}w/{self.block_size}B "
             f"{self.refresh_mode}"
             + (f"(ret={self.retention_ticks})" if self.retention_ticks else "")
+            + (f" drowsy={self.drowsy_window}" if self.drowsy_window else "")
             + f" n={self.length} blocks={self.addr_blocks} gap<={self.max_gap}"
         )
 
@@ -129,15 +148,14 @@ def _workload(case: DiffCase):
     return ticks, addrs, privs, writes, demand, final_tick
 
 
-def run_case(case: DiffCase) -> tuple[CacheStats, CacheStats]:
-    """Run one case through both engines; returns (reference, fast) stats."""
-    ticks, addrs, privs, writes, demand, final_tick = _workload(case)
-
+def _replay_reference(case: DiffCase, ticks, addrs, privs, writes, demand, final_tick):
+    """Replay one case's columns through a finalized reference cache."""
     cache = SetAssociativeCache(
         case.geometry,
         "lru",
         retention_ticks=case.retention_ticks,
         refresh_mode=case.refresh_mode,
+        drowsy_window=case.drowsy_window,
         name="diff-ref",
     )
     access = cache.access
@@ -147,7 +165,27 @@ def run_case(case: DiffCase) -> tuple[CacheStats, CacheStats]:
         access(addr, isw, priv, tick, dm)
     cache.finalize(final_tick)
     cache.stats.check_invariants()
+    return cache
 
+
+def _raise_on_mismatch(ref_d: dict, fast_d: dict, what: str, describe: str) -> None:
+    """Raise ``AssertionError`` with a field-level diff unless equal."""
+    if ref_d != fast_d:
+        mismatches = [
+            f"  {key}: reference={ref_d[key]!r} fast={fast_d[key]!r}"
+            for key in ref_d
+            if ref_d[key] != fast_d[key]
+        ]
+        raise AssertionError(
+            f"{what} diverged from the reference engine on "
+            + describe + "\n" + "\n".join(mismatches)
+        )
+
+
+def run_case(case: DiffCase) -> tuple[CacheStats, CacheStats]:
+    """Run one case through both engines; returns (reference, fast) stats."""
+    ticks, addrs, privs, writes, demand, final_tick = _workload(case)
+    cache = _replay_reference(case, ticks, addrs, privs, writes, demand, final_tick)
     fast_stats, _ = simulate_trace(
         case.geometry,
         ticks,
@@ -165,17 +203,136 @@ def run_case(case: DiffCase) -> tuple[CacheStats, CacheStats]:
 def assert_case_equal(case: DiffCase) -> None:
     """Raise ``AssertionError`` with a field-level diff on any mismatch."""
     ref, fast = run_case(case)
-    ref_d, fast_d = ref.to_dict(), fast.to_dict()
-    if ref_d != fast_d:
-        mismatches = [
-            f"  {key}: reference={ref_d[key]!r} fast={fast_d[key]!r}"
-            for key in ref_d
-            if ref_d[key] != fast_d[key]
-        ]
-        raise AssertionError(
-            "fastsim diverged from the reference engine on "
-            + case.describe() + "\n" + "\n".join(mismatches)
-        )
+    _raise_on_mismatch(ref.to_dict(), fast.to_dict(), "fastsim", case.describe())
+
+
+# ----------------------------------------------------------------------
+# drowsy harness (awake-time accounting on the segment kernel)
+
+
+def sample_drowsy_case(seed: int) -> DiffCase:
+    """Draw one retention-free configuration with a drowsy window.
+
+    The geometry and workload shape come from :func:`sample_case` (an
+    even seed, so retention ``none``); inter-access gaps are resampled
+    around the window so lines both stay awake between touches and
+    drop into drowsy mode (wake-ups on hits, on evictions and at
+    finalize).
+    """
+    rng = np.random.default_rng(seed ^ 0xD205)
+    window = int(rng.integers(5, 2_000))
+    gap = max(2, int(window * float(rng.choice([0.002, 0.02, 0.2, 1.5]))))
+    return replace(sample_case(2 * seed), seed=seed, drowsy_window=window, max_gap=gap)
+
+
+def run_drowsy_case(case: DiffCase) -> tuple[dict, dict]:
+    """Run one drowsy case through both engines; returns (reference,
+    fast) dicts of the stats plus ``awake_block_ticks`` and
+    ``drowsy_wakeups``."""
+    ticks, addrs, privs, writes, demand, final_tick = _workload(case)
+    ref = _replay_reference(case, ticks, addrs, privs, writes, demand, final_tick)
+    fast = replay_one_chunk(
+        case.geometry, ticks, addrs, privs, writes, demand,
+        drowsy_window=case.drowsy_window, finalize_tick=final_tick,
+    )
+    return tuple(
+        {**c.stats.to_dict(), "awake_block_ticks": c.awake_block_ticks,
+         "drowsy_wakeups": c.drowsy_wakeups}
+        for c in (ref, fast)
+    )
+
+
+def assert_drowsy_case_equal(case: DiffCase) -> None:
+    """Raise ``AssertionError`` with a field-level diff on any mismatch."""
+    ref_d, fast_d = run_drowsy_case(case)
+    _raise_on_mismatch(ref_d, fast_d, "the drowsy segment kernel", case.describe())
+
+
+# ----------------------------------------------------------------------
+# DRAM harness (the bank-level model fed by recorded miss events)
+
+
+@dataclass(frozen=True)
+class DRAMDiffCase:
+    """One randomized configuration of the DRAM harness.
+
+    ``base`` (a retention-free :class:`DiffCase`) gives the workload and
+    the geometry of the shared segment — or, with ``kernel_ways`` set,
+    of the user segment, next to a kernel segment of that many ways.
+    """
+
+    base: DiffCase
+    kernel_ways: int | None
+    banks: int
+    row_bytes: int
+
+    def describe(self) -> str:
+        split = f" kernel={self.kernel_ways}w" if self.kernel_ways else " shared"
+        return f"{self.base.describe()}{split} dram={self.banks}b/{self.row_bytes}B"
+
+
+def sample_dram_case(seed: int) -> DRAMDiffCase:
+    """Draw one configuration: one shared or two privilege-split
+    retention-free segments behind a small bank-level DRAM (few banks
+    and short rows, so row hits, row misses and busy-bank waits all
+    occur on the short workloads)."""
+    rng = np.random.default_rng(seed ^ 0xD7A3)
+    return DRAMDiffCase(
+        base=replace(sample_case(2 * seed), seed=seed),
+        kernel_ways=int(rng.choice([1, 2, 4])) if rng.random() < 0.5 else None,
+        banks=int(rng.choice([1, 2, 8])),
+        row_bytes=int(rng.choice([256, 2048])),
+    )
+
+
+def run_dram_case(case: DRAMDiffCase) -> tuple[dict, dict]:
+    """Run one case through both engines; returns (reference, fast)
+    dicts of the read stall, the DRAM stats and every segment's stats."""
+    from repro.cache.hierarchy import L2Stream
+    from repro.core.pipeline import FixedSegment, ReplaySession
+    from repro.energy.technology import sram
+
+    ticks, addrs, privs, writes, demand, final_tick = _workload(case.base)
+    stream = L2Stream(
+        name=f"dram-diff-{case.base.seed}",
+        ticks=ticks, addrs=addrs, privs=privs, writes=writes, demand=demand,
+        instructions=len(ticks) * 3,
+        trace_accesses=len(ticks) * 4,
+        duration_ticks=final_tick,
+        l1i_stats=CacheStats(),
+        l1d_stats=CacheStats(),
+    )
+    config = DRAMConfig(banks=case.banks, row_bytes=case.row_bytes)
+
+    def build():
+        geometry = case.base.geometry
+        segments = [FixedSegment("user", SetAssociativeCache(geometry, "lru"), sram())]
+        if case.kernel_ways:
+            kernel = SetAssociativeCache(geometry.with_ways(case.kernel_ways), "lru")
+            segments.append(FixedSegment("kernel", kernel, sram()))
+        caches = [seg.cache for seg in segments]
+        return segments, lambda priv: caches[priv] if case.kernel_ways else caches[0]
+
+    def outcome(segments, dram, read_stall):
+        return {"read_stall": read_stall, "dram_stats": asdict(dram.stats),
+                **{seg.name: seg.cache.stats.to_dict() for seg in segments}}
+
+    segments, router = build()
+    dram = DRAMModel(config)
+    read_stall, _, _ = ReplaySession("dram-diff", stream, "reference").replay_fixed(
+        segments, router, dram)
+    ref = outcome(segments, dram, read_stall)
+
+    segments, router = build()
+    dram = DRAMModel(config)
+    fast = outcome(segments, dram, try_run_fixed(stream, segments, router, dram))
+    return ref, fast
+
+
+def assert_dram_case_equal(case: DRAMDiffCase) -> None:
+    """Raise ``AssertionError`` with a field-level diff on any mismatch."""
+    ref_d, fast_d = run_dram_case(case)
+    _raise_on_mismatch(ref_d, fast_d, "the DRAM feed", case.describe())
 
 
 # ----------------------------------------------------------------------
@@ -437,13 +594,4 @@ def assert_dynamic_case_equal(case: DynamicDiffCase) -> None:
     ref_d, fast_d = ref.to_dict(), fast.to_dict()
     assert ref_d["extras"].pop("sim_engine") == "reference"
     assert fast_d["extras"].pop("sim_engine") == "fastsim"
-    if ref_d != fast_d:
-        mismatches = [
-            f"  {key}: reference={ref_d[key]!r} fast={fast_d[key]!r}"
-            for key in ref_d
-            if ref_d[key] != fast_d[key]
-        ]
-        raise AssertionError(
-            "the epoch-chunked kernel diverged from the reference engine on "
-            + case.describe() + "\n" + "\n".join(mismatches)
-        )
+    _raise_on_mismatch(ref_d, fast_d, "the epoch-chunked kernel", case.describe())

@@ -15,25 +15,32 @@ replays an *entire trace at once* instead:
    objects, no dispatch, no per-access allocation.
 
 The kernel is **bit-identical** to the reference engine inside its
-supported envelope (checked by :func:`supports_cache`):
+supported envelope (checked by :func:`supports_cache` for fixed
+designs):
 
 * true-LRU replacement,
-* fixed geometry: no power gating, no drowsy mode,
-* retention ``none``, or ``invalidate`` with the fixed-window model.
+* retention ``none``, or ``invalidate`` with the fixed-window model,
+* drowsy awake-time accounting without a retention window (the drowsy
+  SRAM design, through :class:`EpochReplaySegment`),
+* a bank-level DRAM model behind retention-free fixed segments: the
+  model never changes cache state, so :func:`try_run_fixed` feeds it
+  the recorded demand misses and write-backs in stream order.
 
 The module has exactly three per-access LRU loops:
 
-* ``_replay_sets`` — fixed geometry without retention (the L1 filter,
-  which alone records per-miss events, and every SRAM segment);
+* ``_replay_sets`` — fixed geometry without retention (the L1 filter
+  and the DRAM feed, which alone record per-miss events, and every
+  SRAM segment);
 * :meth:`EpochReplaySegment.replay_chunk` — everything with a retention
-  window or way gating.  It replays the dynamic partition design's
-  **epoch-chunked** stream: the geometry stays fixed *within* a chunk
-  (one controller epoch), while powered-way gating and
+  window, way gating or drowsy accounting.  It replays the dynamic
+  partition design's **epoch-chunked** stream: the geometry stays fixed
+  *within* a chunk (one controller epoch), while powered-way gating and
   wake-on-first-access are applied between chunks — exactly where the
   reference engine applies them — so the epoch controller's decisions,
   timelines and resize counters come out bit-identical too.  A fixed
-  ``invalidate`` replay through :func:`simulate_trace` is the same
-  segment run as one chunk, so the retention rules live in one place;
+  ``invalidate`` replay and a drowsy replay are the same segment run as
+  one chunk (:func:`replay_one_chunk`), so the retention and drowsy
+  rules live in one place;
 * ``_stack_sets`` — behind :func:`simulate_ways`, the all-associativity
   form of the LRU replay: by stack inclusion, one pass over per-set
   recency stacks gives the stats of every way count at a fixed set
@@ -41,13 +48,13 @@ The module has exactly three per-access LRU loops:
   it).
 
 Everything outside the envelope — ``rewrite`` refresh, exponential
-retention lifetimes, non-LRU policies, drowsy voltage tracking, and any
-replay that needs per-access interleaving (bank-level DRAM, prefetching)
-— falls back to the reference engine.  ``tests/test_fastsim.py`` holds
+retention lifetimes, non-LRU policies, prefetching (its fills change
+cache state mid-replay) and a DRAM model behind a retention segment —
+falls back to the reference engine.  ``tests/test_fastsim.py`` holds
 the randomized differential harness (:mod:`repro.cache.diffsim`) that
 proves the exact :class:`~repro.cache.stats.CacheStats` equality this
-module promises, for fixed, all-associativity and epoch-chunked replay
-alike.
+module promises, for fixed, all-associativity, epoch-chunked, drowsy
+and DRAM-fed replay alike.
 
 Set ``REPRO_FASTSIM=0`` to disable the fast path globally (every replay
 then uses the reference engine, useful when bisecting a discrepancy).
@@ -55,6 +62,7 @@ then uses the reference engine, useful when bisecting a discrepancy).
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -72,6 +80,7 @@ __all__ = [
     "simulate_trace",
     "simulate_ways",
     "EpochReplaySegment",
+    "replay_one_chunk",
     "MissEvents",
     "fast_l1_filter",
     "try_run_fixed",
@@ -79,6 +88,9 @@ __all__ = [
 
 #: Refresh modes the kernel reproduces exactly.
 SUPPORTED_REFRESH_MODES = ("none", "invalidate")
+
+#: Rows :class:`EpochReplaySegment` converts to Python lists at a time.
+_ROW_SLICE = 1 << 15
 
 
 def enabled() -> bool:
@@ -165,18 +177,13 @@ def simulate_trace(
     addrs = np.asarray(addrs, dtype=np.uint64)
     n = len(addrs)
     if refresh_mode != "none":
-        seg = EpochReplaySegment(
-            geometry, retention_ticks=retention_ticks, refresh_mode=refresh_mode,
-            min_rank_accesses=n + 1,
-        )
         if record_events:
             raise ValueError("record_events needs refresh_mode 'none'")
-        seg.load(ticks, addrs, privs, writes,
-                 np.ones(n, dtype=bool) if demand is None else demand,
-                 np.zeros(n, dtype=np.int64), 1)
-        seg.replay_chunk(0)
-        if finalize_tick is not None:
-            seg.finalize(finalize_tick)
+        seg = replay_one_chunk(
+            geometry, ticks, addrs, privs, writes, demand,
+            retention_ticks=retention_ticks, refresh_mode=refresh_mode,
+            finalize_tick=finalize_tick,
+        )
         return seg.stats, None
 
     stats = CacheStats()
@@ -574,13 +581,17 @@ class EpochReplaySegment:
     — the geometry is constant inside every chunk and the replay is
     bit-identical to the reference engine's per-access loop.
 
-    The envelope matches :func:`supports_cache` plus gating: true LRU,
-    retention ``none`` or fixed-window ``invalidate``, and power-gated
-    ways with either gating semantics (``retains_when_gated`` True keeps
-    contents through a gate like non-volatile STT-RAM; False invalidates
-    like SRAM).  :func:`simulate_trace` runs every fixed ``invalidate``
-    replay as a single chunk of one of these segments, with
-    ``min_rank_accesses`` above the row count so ranks are never tracked.
+    The envelope matches :func:`supports_cache` plus gating and drowsy
+    accounting: true LRU, retention ``none`` or fixed-window
+    ``invalidate``, power-gated ways with either gating semantics
+    (``retains_when_gated`` True keeps contents through a gate like
+    non-volatile STT-RAM; False invalidates like SRAM), and
+    ``drowsy_window`` — ``SetAssociativeCache``'s per-line awake-time
+    accounting, exposed as the same ``awake_block_ticks`` and
+    ``drowsy_wakeups`` counters (retention-free segments only).
+    :func:`replay_one_chunk` runs a whole stream as a single chunk of one
+    of these segments, with ``min_rank_accesses`` above the row count so
+    ranks are never tracked.
     """
 
     def __init__(
@@ -590,6 +601,7 @@ class EpochReplaySegment:
         retention_ticks: int | None = None,
         refresh_mode: str = "none",
         retains_when_gated: bool = True,
+        drowsy_window: int | None = None,
         min_rank_accesses: int = 0,
         name: str = "fastseg",
     ) -> None:
@@ -599,6 +611,13 @@ class EpochReplaySegment:
             )
         if refresh_mode == "invalidate" and retention_ticks is None:
             raise ValueError("refresh_mode 'invalidate' needs a finite retention_ticks")
+        if drowsy_window is not None:
+            if drowsy_window <= 0:
+                raise ValueError(f"drowsy_window must be positive, got {drowsy_window}")
+            if refresh_mode != "none":
+                # The reference engine skips awake accounting when a
+                # block expires; no design combines the two.
+                raise ValueError("drowsy_window needs refresh_mode 'none'")
         geometry.validate()
         self.geometry = geometry
         self.name = name
@@ -612,6 +631,9 @@ class EpochReplaySegment:
         # ``min_rank_accesses`` rows skip the O(ways)-per-hit tracking.
         self.min_rank_accesses = min_rank_accesses
         self._window = retention_ticks if refresh_mode == "invalidate" else None
+        self.drowsy_window = drowsy_window
+        self.awake_block_ticks = 0
+        self.drowsy_wakeups = 0
         self.stats = CacheStats()
         self.gated_misses = 0
         self.epoch_accesses = 0
@@ -632,6 +654,8 @@ class EpochReplaySegment:
         self._lastref = [0] * n_frames
         self._seqs = [0] * n_frames
         self._blockw = [0] * n_frames
+        # Last-touch tick per frame, read only by drowsy accounting.
+        self._touch = [0] * n_frames if drowsy_window is not None else None
         self._tagmap: dict[int, int] = {}
         # Exclusive per-set high-water bounds (indexed by the set's frame
         # base): no dirty/valid frame sits at or above them, so the
@@ -715,9 +739,22 @@ class EpochReplaySegment:
         self.epoch_rank_hits = [0] * self.ways
 
     def finalize(self, tick: int) -> None:
-        """Drain dirty blocks that decayed unobserved (all ways, gated
-        included — gated blocks are always clean, so only live-frame
-        decay can charge here)."""
+        """Settle every valid frame's drowsy awake time, and drain dirty
+        blocks that decayed unobserved (all ways, gated included — gated
+        blocks are always clean, so only live-frame decay can charge
+        here)."""
+        drowsy = self.drowsy_window
+        if drowsy is not None:
+            valid = self._valid
+            touch = self._touch
+            f = valid.find(1)
+            while f >= 0:
+                elapsed = tick - touch[f]
+                self.awake_block_ticks += elapsed if elapsed < drowsy else drowsy
+                if elapsed > drowsy:
+                    self.drowsy_wakeups += 1
+                touch[f] = tick
+                f = valid.find(1, f + 1)
         window = self._window
         if window is None:
             return
@@ -771,12 +808,15 @@ class EpochReplaySegment:
         # ``chunk_ids`` is non-decreasing, so each chunk is a contiguous
         # slice found by searchsorted.  The frame base (set * ways) is
         # precomputed so the replay loop never touches the set index.
-        self._ticks = np.asarray(ticks).tolist()
-        self._blocks = blocks.tolist()
-        self._bases = (set_idx * self.ways).tolist()
-        self._privs = privs.tolist()
-        self._writes = np.asarray(writes).tolist()
-        self._demand = np.asarray(demand).tolist()
+        # The columns stay NumPy arrays: ``replay_chunk`` converts them
+        # to Python lists ``_ROW_SLICE`` rows at a time, so a long
+        # stream never holds whole-stream lists.
+        self._ticks = np.asarray(ticks)
+        self._blocks = blocks
+        self._bases = set_idx * self.ways
+        self._privs = privs
+        self._writes = np.asarray(writes)
+        self._demand = np.asarray(demand)
         chunk_ids = np.asarray(chunk_ids, dtype=np.int64)
         self._chunk_starts = np.searchsorted(chunk_ids, np.arange(n_chunks + 1)).tolist()
 
@@ -786,7 +826,17 @@ class EpochReplaySegment:
         lo = self._chunk_starts[chunk]
         if lo == self._chunk_starts[chunk + 1]:
             return None
-        return self._ticks[lo]
+        return int(self._ticks[lo])
+
+    def _rows(self, lo: int, hi: int):
+        """Rows ``lo:hi`` as Python tuples, converted one bounded slice
+        at a time."""
+        cols = (self._ticks, self._blocks, self._bases, self._privs, self._writes,
+                self._demand)
+        return itertools.chain.from_iterable(
+            zip(*[col[a:min(a + _ROW_SLICE, hi)].tolist() for col in cols])
+            for a in range(lo, hi, _ROW_SLICE)
+        )
 
     def replay_chunk(self, chunk: int) -> None:
         """Replay one chunk's accesses under the current powered ways."""
@@ -797,6 +847,9 @@ class EpochReplaySegment:
             return
         st = self.stats
         window = self._window
+        drowsy = self.drowsy_window
+        touch = self._touch
+        awake = wakeups = 0
         powered = self.powered_ways
         track_ranks = (hi - lo) >= self.min_rank_accesses
         rank_hits = self.epoch_rank_hits
@@ -816,10 +869,7 @@ class EpochReplaySegment:
         misses = kernel_misses = demand_misses = hits = 0
         evictions = writebacks = exp_inv = exp_wb = 0
         ec = [0, 0, 0, 0]
-        for tick, block, base, priv, isw, dm in zip(
-            self._ticks[lo:hi], self._blocks[lo:hi], self._bases[lo:hi],
-            self._privs[lo:hi], self._writes[lo:hi], self._demand[lo:hi],
-        ):
+        for tick, block, base, priv, isw, dm in self._rows(lo, hi):
             seqc += 1
             f = mget(block)
             if f is not None:
@@ -842,6 +892,12 @@ class EpochReplaySegment:
                     del tagmap[block]
                 else:
                     hits += 1
+                    if drowsy is not None:
+                        elapsed = tick - touch[f]
+                        awake += elapsed if elapsed < drowsy else drowsy
+                        if elapsed > drowsy:
+                            wakeups += 1
+                        touch[f] = tick
                     if track_ranks:
                         mine = seqs[f]
                         rank = 0
@@ -887,7 +943,14 @@ class EpochReplaySegment:
                     ec[(privw[target] << 1) | priv] += 1
                     if dirty[target]:
                         writebacks += 1
+                    if drowsy is not None:
+                        elapsed = tick - touch[target]
+                        awake += elapsed if elapsed < drowsy else drowsy
+                        if elapsed > drowsy:
+                            wakeups += 1
                     del tagmap[blockw[target]]
+            if drowsy is not None:
+                touch[target] = tick
             valid[target] = 1
             blockw[target] = block
             privw[target] = priv
@@ -905,6 +968,8 @@ class EpochReplaySegment:
                 if w1 > max_dh:
                     max_dh = w1
         self._seqc = seqc
+        self.awake_block_ticks += awake
+        self.drowsy_wakeups += wakeups
         self._max_dirty_hi = max_dh
         self._max_valid_hi = max_vh
         self.epoch_misses += misses
@@ -925,8 +990,62 @@ class EpochReplaySegment:
         cross[1][1] += ec[3]
 
 
+def replay_one_chunk(
+    geometry: CacheGeometry,
+    ticks,
+    addrs,
+    privs,
+    writes,
+    demand=None,
+    *,
+    retention_ticks: int | None = None,
+    refresh_mode: str = "none",
+    drowsy_window: int | None = None,
+    finalize_tick: int | None = None,
+) -> EpochReplaySegment:
+    """Replay a whole stream as chunk 0 of a fresh :class:`EpochReplaySegment`.
+
+    The fixed-geometry use of the segment kernel: a fixed ``invalidate``
+    replay (through :func:`simulate_trace`) and a drowsy replay.  Ranks
+    are never tracked; ``demand=None`` marks every row a demand access.
+    When ``finalize_tick`` is given the segment is finalized there like
+    ``SetAssociativeCache.finalize``.  Returns the segment, whose
+    ``stats``, ``awake_block_ticks`` and ``drowsy_wakeups`` hold the
+    outcome.
+    """
+    n = len(addrs)
+    seg = EpochReplaySegment(
+        geometry, retention_ticks=retention_ticks, refresh_mode=refresh_mode,
+        drowsy_window=drowsy_window, min_rank_accesses=n + 1,
+    )
+    seg.load(ticks, addrs, privs, writes,
+             np.ones(n, dtype=bool) if demand is None else demand,
+             np.zeros(n, dtype=np.int64), 1)
+    seg.replay_chunk(0)
+    if finalize_tick is not None:
+        seg.finalize(finalize_tick)
+    return seg
+
+
 # ----------------------------------------------------------------------
 # front ends
+
+
+def _stream_order(miss_idx, wb_idx):
+    """Merge miss rows and write-back rows into stream order.
+
+    Returns ``(merge, row_idx, is_wb)``: ``merge`` permutes any column
+    laid out as ``[miss rows..., write-back rows...]`` into stream order,
+    and ``row_idx``/``is_wb`` are the merged rows' stream index and
+    write-back flag.  Within one access the miss comes first and its
+    victim's write-back right after it — the reference loops' order.
+    """
+    row_idx = np.concatenate([miss_idx, wb_idx])
+    is_wb = np.concatenate([
+        np.zeros(len(miss_idx), dtype=bool), np.ones(len(wb_idx), dtype=bool),
+    ])
+    merge = np.lexsort((is_wb, row_idx))
+    return merge, row_idx[merge], is_wb[merge]
 
 
 def fast_l1_filter(trace, platform: PlatformConfig):
@@ -971,17 +1090,9 @@ def fast_l1_filter(trace, platform: PlatformConfig):
     wb_addr = np.concatenate([i_ev.wb_addr, d_ev.wb_addr])
     wb_priv = np.asarray(i_ev.wb_priv + d_ev.wb_priv, dtype=np.uint8)
 
-    # Merge demand rows (sub-key 0) and write-back rows (sub-key 1) back
-    # into program order: a write-back lands right after the miss that
-    # evicted it, exactly like the reference filter's append order.
-    row_idx = np.concatenate([miss_idx, wb_idx])
-    row_sub = np.concatenate([
-        np.zeros(len(miss_idx), dtype=np.int8),
-        np.ones(len(wb_idx), dtype=np.int8),
-    ])
-    merge = np.lexsort((row_sub, row_idx))
-    row_idx = row_idx[merge]
-    writes_col = row_sub[merge] == 1
+    # Demand rows and write-back rows back in program order, exactly like
+    # the reference filter's append order.
+    merge, row_idx, writes_col = _stream_order(miss_idx, wb_idx)
     addr_col = np.concatenate([trace.addrs[miss_idx], wb_addr])[merge]
     priv_col = np.concatenate([trace.privs[miss_idx], wb_priv])[merge]
 
@@ -1000,27 +1111,41 @@ def fast_l1_filter(trace, platform: PlatformConfig):
     )
 
 
-def try_run_fixed(stream, segments, router) -> bool:
+def try_run_fixed(stream, segments, router, dram_model=None) -> int | None:
     """Replay ``stream`` through fixed segments with the fast kernel.
 
-    Returns False (leaving every cache untouched) unless all segment
-    caches are inside the envelope and the router is a pure
-    privilege→segment mapping.  On success the per-segment ``stats``
-    (including finalize accounting) are installed on each cache and the
-    caller must skip its own replay loop and ``finalize`` pass.
+    Returns None (leaving every cache and ``dram_model`` untouched)
+    unless all segment caches are inside the envelope, the router is a
+    pure privilege→segment mapping and — when a DRAM model is given —
+    every segment is retention-free.  On success the per-segment
+    ``stats`` (including finalize accounting) are installed on each
+    cache, the caller must skip its own replay loop and ``finalize``
+    pass, and the return value is the DRAM read stall (0 without a
+    model).
+
+    The DRAM model never changes cache state, so it is fed after the
+    replay: each segment records its miss events, and the demand misses
+    and write-backs of all segments are merged into stream order and
+    sent to ``dram_model.access`` exactly as ``ReplaySession.replay_fixed``
+    interleaves them.  The read stall is the summed latency of the reads.
     """
     caches = [seg.cache for seg in segments]
     if not caches or not all(supports_cache(c) for c in caches):
         obs.inc("fastsim.decline.unsupported-cache")
-        return False
+        return None
     user_cache = router(int(Privilege.USER))
     kernel_cache = router(int(Privilege.KERNEL))
     if not any(user_cache is c for c in caches):
         obs.inc("fastsim.decline.router")
-        return False
+        return None
     if not any(kernel_cache is c for c in caches):
         obs.inc("fastsim.decline.router")
-        return False
+        return None
+    record = dram_model is not None
+    if record and any(c.refresh_mode != "none" for c in caches):
+        # The retention kernel records no miss events.
+        obs.inc("fastsim.decline.dram-retention")
+        return None
 
     final_tick = stream.duration_ticks
     if user_cache is kernel_cache:
@@ -1028,8 +1153,9 @@ def try_run_fixed(stream, segments, router) -> bool:
     else:
         kernel_rows = stream.privs == np.uint8(Privilege.KERNEL)
         jobs = [(user_cache, ~kernel_rows), (kernel_cache, kernel_rows)]
+    events = []
     for cache, rows in jobs:
-        stats, _ = simulate_trace(
+        stats, ev = simulate_trace(
             cache.geometry,
             stream.ticks[rows],
             stream.addrs[rows],
@@ -1039,6 +1165,25 @@ def try_run_fixed(stream, segments, router) -> bool:
             retention_ticks=cache.retention_ticks,
             refresh_mode=cache.refresh_mode,
             finalize_tick=final_tick,
+            record_events=record,
+            orig_indices=np.arange(len(stream))[rows] if record else None,
         )
         cache.stats = stats
-    return True
+        events.append(ev)
+    if not record:
+        return 0
+
+    miss_idx = np.concatenate([np.asarray(ev.miss_idx, dtype=np.int64) for ev in events])
+    miss_idx = miss_idx[stream.demand[miss_idx]]
+    wb_idx = np.concatenate([np.asarray(ev.wb_idx, dtype=np.int64) for ev in events])
+    merge, row_idx, is_wb = _stream_order(miss_idx, wb_idx)
+    addrs = np.concatenate([stream.addrs[miss_idx]] + [ev.wb_addr for ev in events])[merge]
+    access = dram_model.access
+    read_stall = 0
+    for addr, tick, is_write in zip(
+        addrs.tolist(), stream.ticks[row_idx].tolist(), is_wb.tolist()
+    ):
+        latency = access(addr, tick, is_write)
+        if not is_write:
+            read_stall += latency
+    return read_stall

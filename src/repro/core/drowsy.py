@@ -9,9 +9,10 @@ baseline shows how much of the win survives: drowsy mode attacks the
 same leakage but cannot approach STT-RAM's near-zero cell leakage, and
 it must keep full voltage on everything recently used.
 
-The cache engine does exact awake-time accounting per line (see
-``SetAssociativeCache.drowsy_window``); this design converts awake/
-drowsy byte-seconds into leakage energy and charges the wake-up cycles.
+Both replay engines do exact awake-time accounting per line (see
+``SetAssociativeCache.drowsy_window`` and the fast kernel's
+``EpochReplaySegment``); this design converts awake/drowsy
+byte-seconds into leakage energy and charges the wake-up cycles.
 """
 
 from __future__ import annotations
@@ -71,20 +72,31 @@ class DrowsySRAMDesign:
         """Replay ``stream``; leakage splits into awake and drowsy parts.
 
         ``engine`` follows the shared contract (see
-        :func:`~repro.core.pipeline.run_fixed_design`); drowsy mode has
-        no vectorized path, so ``"fast"`` raises and ``"auto"`` always
-        replays through the reference engine.
+        :func:`~repro.core.pipeline.run_fixed_design`): with LRU
+        replacement the stream replays as one chunk of the fast
+        segment kernel, which keeps the same per-line awake-time
+        accounting (:class:`~repro.cache.fastsim.EpochReplaySegment`'s
+        ``drowsy_window``); any other policy needs the reference engine.
         """
         geometry = self.geometry if self.geometry is not None else platform.l2
         session = ReplaySession(self.name, stream, engine)
-        session.dispatch_fast(
-            False, None, "per-line drowsy voltage tracking needs the per-access engine"
-        )
-        cache = SetAssociativeCache(
-            geometry, self.policy, drowsy_window=self.drowsy_window, name="l2-drowsy"
-        )
-        session.replay_routed(lambda priv: cache)
-        cache.finalize(stream.duration_ticks)
+        cache = None
+
+        def run_fast(fastsim) -> bool:
+            nonlocal cache
+            cache = fastsim.replay_one_chunk(
+                geometry, stream.ticks, stream.addrs, stream.privs, stream.writes,
+                stream.demand, drowsy_window=self.drowsy_window,
+                finalize_tick=stream.duration_ticks,
+            )
+            return True
+
+        if not session.dispatch_fast(self.policy == "lru", run_fast, "needs LRU replacement"):
+            cache = SetAssociativeCache(
+                geometry, self.policy, drowsy_window=self.drowsy_window, name="l2-drowsy"
+            )
+            session.replay_routed(lambda priv: cache)
+            cache.finalize(stream.duration_ticks)
 
         stats = cache.stats
         assembler = ResultAssembler(session, platform)

@@ -453,22 +453,33 @@ def run_fixed_design(
         engine: ``"auto"`` replays through the vectorized fast kernel
             (:mod:`repro.cache.fastsim`) when the whole design qualifies
             — LRU segments, no gating/drowsy, retention ``none`` or
-            ``invalidate``, and neither a DRAM model nor a prefetcher
-            (both need per-access interleaving) — falling back to the
-            reference engine otherwise.  ``"fast"`` requires the kernel
-            and raises when the design disqualifies; ``"reference"``
-            forces the per-access engine.  The chosen path is recorded
-            in ``DesignResult.extras["sim_engine"]``.
+            ``invalidate``, no prefetcher (its fills need per-access
+            interleaving), and retention ``none`` in every segment when
+            a DRAM model is given (the model is then fed the replay's
+            miss events in stream order) — falling back to the reference
+            engine otherwise.  ``"fast"`` requires the kernel and raises
+            when the design disqualifies; ``"reference"`` forces the
+            per-access engine.  The chosen path is recorded in
+            ``DesignResult.extras["sim_engine"]``.
     """
     session = ReplaySession(design_name, stream, engine)
     dram_read_stall = 0
     prefetch_issued = 0
     prefetch_useful = 0
+
+    def run_fast(fastsim) -> bool:
+        nonlocal dram_read_stall
+        read_stall = fastsim.try_run_fixed(stream, segments, router, dram_model)
+        if read_stall is None:
+            return False
+        dram_read_stall = read_stall
+        return True
+
     ran_fast = session.dispatch_fast(
-        dram_model is None and prefetcher is None,
-        lambda fastsim: fastsim.try_run_fixed(stream, segments, router),
-        "needs LRU segments, retention 'none'/'invalidate', no DRAM "
-        "model, no prefetcher",
+        prefetcher is None,
+        run_fast,
+        "needs LRU segments, retention 'none'/'invalidate' ('none' with a "
+        "DRAM model), no prefetcher",
     )
     if not ran_fast:
         dram_read_stall, prefetch_issued, prefetch_useful = session.replay_fixed(

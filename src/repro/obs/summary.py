@@ -9,7 +9,9 @@
   the batch interval covered by the union of all non-batch spans.  Low
   coverage means time is going somewhere uninstrumented;
 * replay throughput per engine — the ``accesses`` attribute of every
-  ``replay`` span summed over its duration, in M accesses/s;
+  ``replay`` span summed over its duration, in M accesses/s — and the
+  same rate for the front-end layers (``trace.generate``,
+  ``l1.filter``);
 * every counter recorded in the log's ``metrics`` snapshots (engine
   dispatch decisions, store hit/miss/write/corruption tallies, ...).
 """
@@ -22,7 +24,18 @@ from pathlib import Path
 
 from repro.obs.trace import validate_event
 
-__all__ = ["EngineThroughput", "PhaseStat", "RunLog", "RunSummary", "load_run", "summarize"]
+__all__ = [
+    "EngineThroughput",
+    "LayerThroughput",
+    "PhaseStat",
+    "RunLog",
+    "RunSummary",
+    "load_run",
+    "summarize",
+]
+
+#: Front-end layers whose spans carry an ``accesses`` work size.
+FRONT_END_LAYERS = ("trace.generate", "l1.filter")
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,20 @@ class EngineThroughput:
         return self.accesses / self.total_s / 1e6 if self.total_s > 0 else 0.0
 
 
+@dataclass
+class LayerThroughput:
+    """Work and time of the spans of one front-end layer."""
+
+    layer: str
+    calls: int = 0
+    accesses: int = 0
+    total_s: float = 0.0
+
+    @property
+    def maccess_per_s(self) -> float:
+        return self.accesses / self.total_s / 1e6 if self.total_s > 0 else 0.0
+
+
 def _interval_union(intervals: list[tuple[float, float]]) -> float:
     """Total length covered by the union of ``(start, end)`` intervals."""
     covered = 0.0
@@ -109,6 +136,7 @@ class RunSummary:
     counters: dict[str, int] = field(default_factory=dict)
     n_events: int = 0
     engines: list[EngineThroughput] = field(default_factory=list)
+    layers: list[LayerThroughput] = field(default_factory=list)
 
     def phase(self, name: str) -> PhaseStat | None:
         for stat in self.phases:
@@ -140,18 +168,22 @@ class RunSummary:
             f"batch wall {self.batch_wall_s:.3f}s; span coverage "
             f"{self.coverage:.1%} ({self.n_events} events)",
         ]
-        if self.engines:
-            engine_rows = [
-                [e.engine, str(e.replays), f"{e.accesses / 1e6:9.3f}", f"{e.total_s:8.3f}",
-                 f"{e.maccess_per_s:8.2f}"]
-                for e in sorted(self.engines, key=lambda e: -e.total_s)
+        for title, head, stats in (
+            ("front-end throughput by layer", ["layer", "calls"],
+             [(t.layer, t.calls, t) for t in self.layers]),
+            ("replay throughput by engine", ["engine", "replays"],
+             [(e.engine, e.replays, e) for e in self.engines]),
+        ):
+            if not stats:
+                continue
+            rows = [
+                [name, str(count), f"{t.accesses / 1e6:9.3f}", f"{t.total_s:8.3f}",
+                 f"{t.maccess_per_s:8.2f}"]
+                for name, count, t in sorted(stats, key=lambda row: -row[2].total_s)
             ]
             lines.append("")
             lines.append(format_table(
-                "replay throughput by engine",
-                ["engine", "replays", "M accesses", "total s", "M acc/s"],
-                engine_rows,
-                align_left_cols=1,
+                title, [*head, "M accesses", "total s", "M acc/s"], rows, align_left_cols=1,
             ))
         if self.counters:
             counter_rows = [[name, f"{value:,}"] for name, value in sorted(self.counters.items())]
@@ -200,15 +232,20 @@ def summarize(run: RunLog) -> RunSummary:
     coverage = min(covered / span_extent, 1.0) if span_extent > 0 else 0.0
 
     engines: dict[str, EngineThroughput] = {}
+    layers: dict[str, LayerThroughput] = {}
     for sp in spans:
         attrs = sp.get("attrs") or {}
-        if sp["name"] != "replay" or "accesses" not in attrs:
+        if "accesses" not in attrs:
             continue
-        engine = str(attrs.get("engine"))
-        stat = engines.get(engine)
-        if stat is None:
-            stat = engines[engine] = EngineThroughput(engine)
-        stat.replays += 1
+        if sp["name"] == "replay":
+            engine = str(attrs.get("engine"))
+            stat = engines.setdefault(engine, EngineThroughput(engine))
+            stat.replays += 1
+        elif sp["name"] in FRONT_END_LAYERS:
+            stat = layers.setdefault(sp["name"], LayerThroughput(sp["name"]))
+            stat.calls += 1
+        else:
+            continue
         stat.accesses += int(attrs["accesses"])
         stat.total_s += sp["dur_s"]
 
@@ -229,4 +266,5 @@ def summarize(run: RunLog) -> RunSummary:
         counters=counters,
         n_events=len(run.events),
         engines=list(engines.values()),
+        layers=list(layers.values()),
     )

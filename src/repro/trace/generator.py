@@ -135,7 +135,8 @@ def generate_trace(profile: AppProfile, length: int, seed: int = 0) -> Trace:
     if length <= 0:
         raise ValueError(f"length must be positive, got {length}")
     _validate_profile_addresses(profile)
-    with obs.span("trace.generate", app=profile.name, length=length, seed=seed):
+    with obs.span("trace.generate", app=profile.name, length=length, seed=seed,
+                  accesses=length):
         return _generate(profile, length, seed)
 
 

@@ -16,7 +16,11 @@ envelope.  This file is that promise, tested three ways:
    counts included), plus its own dispatch rules;
 5. the all-associativity kernel (``simulate_ways``) is compared, way
    count by way count, with per-geometry ``simulate_trace`` replays,
-   including its declines and the kill switch.
+   including its declines and the kill switch;
+6. the retention-free extensions — drowsy awake-time accounting on the
+   segment kernel and the bank-level DRAM model fed by recorded miss
+   events — are swept by their own samplers and compared on whole
+   designs, including what still falls back.
 """
 
 import dataclasses
@@ -28,9 +32,13 @@ from repro import obs
 from repro.cache import fastsim
 from repro.cache.diffsim import (
     assert_case_equal,
+    assert_dram_case_equal,
+    assert_drowsy_case_equal,
     assert_dynamic_case_equal,
     assert_ways_case_equal,
     sample_case,
+    sample_dram_case,
+    sample_drowsy_case,
     sample_dynamic_case,
     sample_ways_case,
 )
@@ -38,6 +46,8 @@ from repro.cache.hierarchy import l1_filter
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import DEFAULT_PLATFORM, CacheGeometry
 from repro.core.baseline import BaselineDesign
+from repro.core.designs import make_design
+from repro.core.drowsy import DrowsySRAMDesign
 from repro.core.multi_retention import multi_retention_design
 from repro.core.pipeline import replay_ways
 from repro.core.search import sweep_partitions
@@ -213,15 +223,6 @@ def test_auto_falls_back_for_prefetcher(browser_stream_small):
     result = BaselineDesign().run(
         browser_stream_small, DEFAULT_PLATFORM,
         prefetcher=make_prefetcher("nextline"),
-    )
-    assert result.extras["sim_engine"] == "reference"
-
-
-def test_auto_falls_back_for_dram_model(browser_stream_small):
-    from repro.dram import DRAMModel
-
-    result = BaselineDesign().run(
-        browser_stream_small, DEFAULT_PLATFORM, dram_model=DRAMModel()
     )
     assert result.extras["sim_engine"] == "reference"
 
@@ -434,3 +435,90 @@ def test_ways_kill_switch(browser_stream_small, monkeypatch):
     assert replay_ways("baseline", browser_stream_small, DEFAULT_PLATFORM.l2, (2, 4)) == fast
     assert obs.REGISTRY.counters["pipeline.dispatch.reference"] == before + 2
     assert sweep_partitions([browser_stream_small], DEFAULT_PLATFORM, (2, 4), (1, 3)) == fast_points
+
+
+# ----------------------------------------------------------------------
+# 6. drowsy accounting and the DRAM feed (retention-free extensions)
+
+
+@pytest.mark.parametrize("seed", DIFF_SEEDS)
+def test_drowsy_segment_matches_reference(seed):
+    assert_drowsy_case_equal(sample_drowsy_case(seed))
+
+
+@pytest.mark.parametrize("seed", DIFF_SEEDS)
+def test_dram_feed_matches_reference(seed):
+    assert_dram_case_equal(sample_dram_case(seed))
+
+
+def test_segment_rejects_drowsy_with_retention():
+    geometry = CacheGeometry(8192, 4)
+    with pytest.raises(ValueError, match="drowsy_window"):
+        fastsim.EpochReplaySegment(geometry, retention_ticks=100, refresh_mode="invalidate",
+                                   drowsy_window=50)
+    with pytest.raises(ValueError, match="drowsy_window"):
+        fastsim.EpochReplaySegment(geometry, drowsy_window=0)
+
+
+def _without_dram_stats(result):
+    return dataclasses.replace(
+        result, extras={k: v for k, v in result.extras.items() if k != "dram_stats"})
+
+
+@pytest.mark.parametrize("design_name", ["baseline", "static-sram"])
+def test_dram_model_designs_match_reference(design_name, browser_stream_small):
+    from repro.dram import DRAMModel
+
+    runs = {
+        engine: make_design(design_name).run(
+            browser_stream_small, DEFAULT_PLATFORM, dram_model=DRAMModel(), engine=engine)
+        for engine in ("reference", "auto")
+    }
+    ref, fast = runs["reference"], runs["auto"]
+    assert fast.extras["sim_engine"] == "fastsim"
+    assert fast.extras["dram_stats"] == ref.extras["dram_stats"]
+    assert fast.extras["dram_stats"].accesses > 0
+    ref_d, fast_d = _without_dram_stats(ref).to_dict(), _without_dram_stats(fast).to_dict()
+    assert ref_d["extras"].pop("sim_engine") == "reference"
+    assert fast_d["extras"].pop("sim_engine") == "fastsim"
+    assert ref_d == fast_d
+
+
+def test_dram_model_with_retention_falls_back(browser_stream_small):
+    """The retention kernel records no miss events: static-stt with a
+    DRAM model stays on the reference engine, with a booked reason."""
+    from repro.dram import DRAMModel
+
+    before = obs.REGISTRY.counters.get("fastsim.decline.dram-retention", 0)
+    result = multi_retention_design().run(
+        browser_stream_small, DEFAULT_PLATFORM, dram_model=DRAMModel())
+    assert result.extras["sim_engine"] == "reference"
+    assert obs.REGISTRY.counters["fastsim.decline.dram-retention"] == before + 1
+    with pytest.raises(ValueError, match="fast"):
+        multi_retention_design().run(
+            browser_stream_small, DEFAULT_PLATFORM, dram_model=DRAMModel(), engine="fast")
+
+
+def test_dram_model_with_prefetcher_falls_back(browser_stream_small):
+    from repro.cache.prefetch import make_prefetcher
+    from repro.dram import DRAMModel
+
+    result = BaselineDesign().run(
+        browser_stream_small, DEFAULT_PLATFORM, dram_model=DRAMModel(),
+        prefetcher=make_prefetcher("nextline"),
+    )
+    assert result.extras["sim_engine"] == "reference"
+
+
+def test_drowsy_design_matches_reference(browser_stream_small):
+    fast = _assert_engines_agree(DrowsySRAMDesign(), browser_stream_small, DEFAULT_PLATFORM)
+    assert fast.extras["drowsy_wakeups"] > 0
+    assert 0 < fast.extras["awake_fraction"] < 1
+
+
+def test_drowsy_design_non_lru_falls_back(browser_stream_small):
+    result = DrowsySRAMDesign(policy="plru").run(browser_stream_small, DEFAULT_PLATFORM)
+    assert result.extras["sim_engine"] == "reference"
+    with pytest.raises(ValueError, match="fast"):
+        DrowsySRAMDesign(policy="plru").run(
+            browser_stream_small, DEFAULT_PLATFORM, engine="fast")

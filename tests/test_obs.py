@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -271,6 +272,41 @@ class TestReplayWorkSize:
             obs.configure(None)
         assert [(sp["attrs"]["engine"], sp["attrs"]["accesses"])
                 for sp in self.replay_spans(log)] == [("reference", len(browser_stream_small))] * 2
+
+
+class TestFrontEndThroughput:
+    """``trace.generate`` and ``l1.filter`` spans record their work size,
+    so the summary prints a per-layer M accesses/s."""
+
+    def test_layers_report_accesses_and_results_are_unchanged(self, tmp_path):
+        from repro.trace.generator import generate_trace
+        from repro.trace.workloads import app_profile
+
+        profile = app_profile("game")
+        untraced = l1_filter(generate_trace(profile, 9000, 17), DEFAULT_PLATFORM)
+        log = tmp_path / "front-end.jsonl"
+        obs.configure(log)
+        try:
+            trace = generate_trace(profile, 9000, 17)
+            traced = l1_filter(trace, DEFAULT_PLATFORM)
+        finally:
+            obs.configure(None)
+        for name, col in untraced.columns().items():
+            assert np.array_equal(col, getattr(traced, name)), name
+        assert traced.context() == untraced.context()
+
+        summary = summarize(load_run(log))
+        layers = {t.layer: t for t in summary.layers}
+        assert set(layers) == {"trace.generate", "l1.filter"}
+        for name, layer in layers.items():
+            assert layer.calls == 1
+            assert layer.accesses == len(trace) == 9000
+            phase_s = summary.phase(name).total_s
+            assert layer.total_s == pytest.approx(phase_s)
+            assert layer.maccess_per_s == pytest.approx(9000 / phase_s / 1e6)
+        text = summary.render()
+        assert "front-end throughput by layer" in text
+        assert "trace.generate" in text
 
 
 class TestDispatchCounters:
