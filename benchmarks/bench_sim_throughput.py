@@ -17,7 +17,9 @@ on the canonical ``dynamic-stt`` workload; two more cover the fast
 path's retention-free extensions on the same stream — the baseline
 with a bank-level DRAM model (fed the replay's miss events) and the
 drowsy SRAM design (awake-time accounting on the segment kernel) —
-each with a >= 2x end-to-end contract.
+each with a >= 2x end-to-end contract.  The last two cover the segment
+kernel's other victim rules and its prefetch path: the baseline under
+SRRIP replacement (>= 1.5x) and behind a stride prefetcher (>= 2x).
 """
 
 import dataclasses
@@ -29,6 +31,7 @@ import numpy as np
 from repro import obs
 from repro.cache.fastsim import simulate_trace
 from repro.cache.hierarchy import l1_filter
+from repro.cache.prefetch import make_prefetcher
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import CacheGeometry, PlatformConfig
 from repro.core.baseline import BaselineDesign
@@ -56,6 +59,13 @@ DYNAMIC_MIN_SPEEDUP = 3.0
 #: must each beat the reference engine by at least this factor end to
 #: end on the canonical stream.
 EXTENSION_MIN_SPEEDUP = 2.0
+
+#: The baseline under SRRIP replacement must beat the reference engine
+#: by at least this factor end to end on the canonical stream ...
+POLICY_MIN_SPEEDUP = 1.5
+
+#: ... and the baseline behind a stride prefetcher by at least this one.
+PREFETCH_MIN_SPEEDUP = 2.0
 
 #: Disabled observability instrumentation (the no-op recorder plus the
 #: always-on counters) may cost at most this fraction of a canonical
@@ -220,6 +230,30 @@ def test_drowsy_fast_path_speedup(benchmark):
         benchmark, "drowsy",
         lambda engine: DrowsySRAMDesign().run(stream, platform, engine),
         EXTENSION_MIN_SPEEDUP,
+    )
+
+
+def test_policy_fast_path_speedup(benchmark):
+    """The baseline under SRRIP replacement (one-chunk segment kernel vs
+    the interleaved reference loop): >= 1.5x."""
+    platform, stream = _canonical_stream()
+    _assert_design_speedup(
+        benchmark, "baseline-srrip",
+        lambda engine: BaselineDesign(policy="srrip").run(stream, platform, engine=engine),
+        POLICY_MIN_SPEEDUP,
+    )
+
+
+def test_prefetch_fast_path_speedup(benchmark):
+    """The baseline behind a fresh stride prefetcher per run (proposals
+    replayed in the segment kernel vs the interleaved reference loop):
+    >= 2x."""
+    platform, stream = _canonical_stream()
+    _assert_design_speedup(
+        benchmark, "baseline+stride",
+        lambda engine: BaselineDesign().run(
+            stream, platform, prefetcher=make_prefetcher("stride"), engine=engine),
+        PREFETCH_MIN_SPEEDUP,
     )
 
 

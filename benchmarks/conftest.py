@@ -2,16 +2,18 @@
 
 Each bench regenerates one table or figure of the paper at full
 experiment scale and prints the artifact.  Two cache layers make that
-cheap: the runner-level memos in :mod:`repro.experiments.runner` share
-the (design x app) grid within one pytest session, and the engine's
-persistent store (:mod:`repro.engine.store`) shares it *across*
-sessions — a second bench run on the same machine replays the grid from
-disk instead of re-simulating it.
+cheap.  The stream memo (:func:`repro.engine.streamcache.experiment_stream`)
+builds each app's L1-filtered L2 stream at most once per machine: a
+per-process memo over memory-mapped bundles in the persistent stream
+cache.  The result store (:mod:`repro.engine.store`) keys every canonical
+(design x app) result by its job spec, so ``canonical_result`` and
+``suite_results`` serve the grid from disk, within a session and across
+sessions, instead of re-simulating it.
 
 Set ``REPRO_BENCH_LENGTH`` to shrink the per-app trace length for a
 faster (less converged) pass.  Set ``REPRO_BENCH_COLD=1`` to disable
-the persistent store for the session, so wall-clock numbers measure
-real simulation instead of store reads.
+both persistent caches for the session, so wall-clock numbers measure
+real simulation instead of cache reads.
 """
 
 from __future__ import annotations

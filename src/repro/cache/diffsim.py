@@ -25,6 +25,12 @@ Two more samplers cover the kernel's retention-free extensions:
 events (:func:`~repro.cache.fastsim.try_run_fixed`), over one shared
 or two privilege-split segments.
 
+:func:`sample_policy_case` covers the segment kernel's victim rules
+and prefetch path: FIFO, SRRIP and LRU segments, with and without a
+prefetcher, against the reference cache driven by
+``ReplaySession.replay_fixed`` (whose pending-prefetch bookkeeping
+yields ``prefetch_issued``/``prefetch_useful``).
+
 Workloads are deliberately adversarial for the envelope: sub-block
 address offsets, skewed set pressure, both privilege levels, write-back
 (non-demand) rows, and — for the retention cases — tick gaps sampled
@@ -52,6 +58,10 @@ __all__ = [
     "sample_drowsy_case",
     "run_drowsy_case",
     "assert_drowsy_case_equal",
+    "PolicyDiffCase",
+    "sample_policy_case",
+    "run_policy_case",
+    "assert_policy_case_equal",
     "DRAMDiffCase",
     "sample_dram_case",
     "run_dram_case",
@@ -84,6 +94,7 @@ class DiffCase:
     kernel_frac: float
     wb_frac: float              # fraction of rows marked non-demand
     drowsy_window: int | None = None
+    policy: str = "lru"
 
     @property
     def geometry(self) -> CacheGeometry:
@@ -97,6 +108,7 @@ class DiffCase:
             f"{self.refresh_mode}"
             + (f"(ret={self.retention_ticks})" if self.retention_ticks else "")
             + (f" drowsy={self.drowsy_window}" if self.drowsy_window else "")
+            + (f" {self.policy}" if self.policy != "lru" else "")
             + f" n={self.length} blocks={self.addr_blocks} gap<={self.max_gap}"
         )
 
@@ -152,7 +164,7 @@ def _replay_reference(case: DiffCase, ticks, addrs, privs, writes, demand, final
     """Replay one case's columns through a finalized reference cache."""
     cache = SetAssociativeCache(
         case.geometry,
-        "lru",
+        case.policy,
         retention_ticks=case.retention_ticks,
         refresh_mode=case.refresh_mode,
         drowsy_window=case.drowsy_window,
@@ -249,6 +261,140 @@ def assert_drowsy_case_equal(case: DiffCase) -> None:
 
 
 # ----------------------------------------------------------------------
+# policy and prefetch harness (victim rules and prefetch fills)
+
+
+@dataclass(frozen=True)
+class PolicyDiffCase:
+    """One randomized configuration of the policy/prefetch harness.
+
+    ``base`` gives the geometry, retention mode, policy and workload
+    shape; ``stream_frac`` of the rows walk strided streams (so the
+    stride prefetcher confirms strides and next-line proposals hit).
+    """
+
+    base: DiffCase
+    prefetcher: str | None      # None, "nextline" or "stride"
+    degree: int
+    stream_frac: float
+
+    def describe(self) -> str:
+        pf = f" {self.prefetcher}x{self.degree}" if self.prefetcher else ""
+        return f"{self.base.describe()}{pf}"
+
+    def make_prefetcher(self):
+        from repro.cache.prefetch import make_prefetcher
+
+        return make_prefetcher(self.prefetcher, self.degree) if self.prefetcher else None
+
+
+def sample_policy_case(seed: int) -> PolicyDiffCase:
+    """Draw one configuration on a small cache (1-8 sets, 1-4 ways), so
+    SRRIP victim scans meet ties and age the set, and prefetch fills
+    evict blocks that are still pending.
+
+    ``seed % 3`` picks the policy (LRU, FIFO, SRRIP), ``seed % 2`` the
+    retention mode (as in :func:`sample_case`) and ``seed // 6 % 3`` the
+    prefetcher (none, next-line, stride): seeds 0-17 cover every
+    combination once.
+    """
+    rng = np.random.default_rng(seed ^ 0x9F1C)
+    sets = int(rng.choice([1, 2, 4, 8]))
+    ways = int(rng.choice([1, 2, 3, 4]))
+    base = replace(
+        sample_case(seed),
+        sets=sets,
+        ways=ways,
+        block_size=int(rng.choice([32, 64, 128])),
+        addr_blocks=max(2, int(sets * ways * float(rng.choice([1.0, 2.0, 6.0])))),
+        policy=("lru", "fifo", "srrip")[seed % 3],
+    )
+    return PolicyDiffCase(
+        base=base,
+        prefetcher=(None, "nextline", "stride")[seed // 6 % 3],
+        degree=int(rng.choice([1, 2, 3])),
+        stream_frac=float(rng.choice([0.2, 0.5, 0.8])),
+    )
+
+
+def _policy_workload(case: PolicyDiffCase):
+    """The base workload with ``stream_frac`` of its rows rewritten as
+    walks of four strided streams (strides of -2..3 blocks)."""
+    ticks, addrs, privs, writes, demand, final_tick = _workload(case.base)
+    rng = np.random.default_rng(case.base.seed ^ 0x57E4)
+    n = len(addrs)
+    block = case.base.block_size
+    span = case.base.addr_blocks * 4
+    heads = rng.integers(0, span, size=4)
+    strides = rng.choice([-2, -1, 1, 2, 3], size=4)
+    walked = rng.random(n) < case.stream_frac
+    which = rng.integers(0, 4, size=n)
+    addrs = addrs.copy()
+    for i in np.nonzero(walked)[0].tolist():
+        k = int(which[i])
+        heads[k] = (heads[k] + strides[k]) % span
+        addrs[i] = np.uint64(int(heads[k]) * block + int(addrs[i]) % block)
+    return ticks, addrs, privs, writes, demand, final_tick
+
+
+def run_policy_case(case: PolicyDiffCase) -> tuple[dict, dict]:
+    """Run one case through both engines; returns (reference, fast)
+    dicts of the stats plus ``prefetch_issued``/``prefetch_useful``."""
+    from repro.cache.hierarchy import L2Stream
+    from repro.core.pipeline import FixedSegment, ReplaySession
+    from repro.energy.technology import sram
+
+    base = case.base
+    ticks, addrs, privs, writes, demand, final_tick = _policy_workload(case)
+    stream = L2Stream(
+        name=f"policy-diff-{base.seed}",
+        ticks=ticks, addrs=addrs, privs=privs, writes=writes, demand=demand,
+        instructions=len(ticks) * 3,
+        trace_accesses=len(ticks) * 4,
+        duration_ticks=final_tick,
+        l1i_stats=CacheStats(),
+        l1d_stats=CacheStats(),
+    )
+    cache = SetAssociativeCache(
+        base.geometry, base.policy,
+        retention_ticks=base.retention_ticks, refresh_mode=base.refresh_mode,
+    )
+    _, issued, useful = ReplaySession("policy-diff", stream, "reference").replay_fixed(
+        [FixedSegment("seg", cache, sram())], lambda priv: cache,
+        prefetcher=case.make_prefetcher(),
+    )
+    cache.stats.check_invariants()
+    ref = {**cache.stats.to_dict(), "prefetch_issued": issued, "prefetch_useful": useful}
+
+    seg = replay_one_chunk(
+        base.geometry, ticks, addrs, privs, writes, demand,
+        retention_ticks=base.retention_ticks, refresh_mode=base.refresh_mode,
+        finalize_tick=final_tick, policy=base.policy, prefetcher=case.make_prefetcher(),
+    )
+    fast = {**seg.stats.to_dict(), "prefetch_issued": seg.prefetch_issued,
+            "prefetch_useful": seg.prefetch_useful}
+    if base.refresh_mode == "none":
+        # Without retention a block leaves the cache only as a victim,
+        # and replay_fixed retires every victim: what stays pending is
+        # resident.  (A stale entry is never credited — a block comes
+        # back only through a miss, which resets it — so this is the
+        # one place a skipped retire shows.)
+        stale = len(seg._pending - seg._tagmap.keys())
+        if stale:
+            raise AssertionError(
+                f"{stale} evicted blocks still pending in the segment kernel on "
+                + case.describe())
+    return ref, fast
+
+
+def assert_policy_case_equal(case: PolicyDiffCase) -> None:
+    """Raise ``AssertionError`` with a field-level diff on any mismatch."""
+    ref_d, fast_d = run_policy_case(case)
+    _raise_on_mismatch(ref_d, fast_d, "the segment kernel's policy/prefetch path",
+                       case.describe())
+
+
+# ----------------------------------------------------------------------
 # DRAM harness (the bank-level model fed by recorded miss events)
 
 
@@ -325,7 +471,7 @@ def run_dram_case(case: DRAMDiffCase) -> tuple[dict, dict]:
 
     segments, router = build()
     dram = DRAMModel(config)
-    fast = outcome(segments, dram, try_run_fixed(stream, segments, router, dram))
+    fast = outcome(segments, dram, try_run_fixed(stream, segments, router, dram)[0])
     return ref, fast
 
 

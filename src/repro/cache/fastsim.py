@@ -1,4 +1,4 @@
-"""Vectorized fast-path simulation kernel for LRU set-associative caches.
+"""Vectorized fast-path simulation kernel for set-associative caches.
 
 The reference engine (:class:`repro.cache.set_assoc.SetAssociativeCache`)
 pays per-access Python overhead — an ``Entry`` object per block, a
@@ -18,29 +18,34 @@ The kernel is **bit-identical** to the reference engine inside its
 supported envelope (checked by :func:`supports_cache` for fixed
 designs):
 
-* true-LRU replacement,
+* true-LRU replacement, or FIFO and SRRIP as victim rules of
+  :class:`EpochReplaySegment`,
 * retention ``none``, or ``invalidate`` with the fixed-window model,
 * drowsy awake-time accounting without a retention window (the drowsy
   SRAM design, through :class:`EpochReplaySegment`),
-* a bank-level DRAM model behind retention-free fixed segments: the
+* a bank-level DRAM model behind retention-free LRU fixed segments: the
   model never changes cache state, so :func:`try_run_fixed` feeds it
-  the recorded demand misses and write-backs in stream order.
+  the recorded demand misses and write-backs in stream order,
+* an L2 prefetcher behind one segment that serves the whole stream:
+  the segment trains it at each demand miss and replays its proposals
+  right after the miss, in the reference order.
 
 The module has exactly three per-access LRU loops:
 
-* ``_replay_sets`` — fixed geometry without retention (the L1 filter
-  and the DRAM feed, which alone record per-miss events, and every
-  SRAM segment);
+* ``_replay_sets`` — fixed LRU geometry without retention or prefetch
+  (the L1 filter and the DRAM feed, which alone record per-miss
+  events, and every LRU SRAM segment);
 * :meth:`EpochReplaySegment.replay_chunk` — everything with a retention
-  window, way gating or drowsy accounting.  It replays the dynamic
+  window, way gating, drowsy accounting, FIFO/SRRIP replacement or a
+  prefetcher.  It replays the dynamic
   partition design's **epoch-chunked** stream: the geometry stays fixed
   *within* a chunk (one controller epoch), while powered-way gating and
   wake-on-first-access are applied between chunks — exactly where the
   reference engine applies them — so the epoch controller's decisions,
   timelines and resize counters come out bit-identical too.  A fixed
   ``invalidate`` replay and a drowsy replay are the same segment run as
-  one chunk (:func:`replay_one_chunk`), so the retention and drowsy
-  rules live in one place;
+  one chunk (:func:`replay_one_chunk`), so the retention, drowsy,
+  victim and prefetch rules live in one place;
 * ``_stack_sets`` — behind :func:`simulate_ways`, the all-associativity
   form of the LRU replay: by stack inclusion, one pass over per-set
   recency stacks gives the stats of every way count at a fixed set
@@ -48,13 +53,15 @@ The module has exactly three per-access LRU loops:
   it).
 
 Everything outside the envelope — ``rewrite`` refresh, exponential
-retention lifetimes, non-LRU policies, prefetching (its fills change
-cache state mid-replay) and a DRAM model behind a retention segment —
-falls back to the reference engine.  ``tests/test_fastsim.py`` holds
-the randomized differential harness (:mod:`repro.cache.diffsim`) that
-proves the exact :class:`~repro.cache.stats.CacheStats` equality this
-module promises, for fixed, all-associativity, epoch-chunked, drowsy
-and DRAM-fed replay alike.
+retention lifetimes, PLRU and random replacement, one prefetcher behind
+two segments (it trains on their misses in cross-segment order), and a
+DRAM model behind a retention or FIFO/SRRIP segment or with a
+prefetcher — falls back to the reference engine.
+``tests/test_fastsim.py`` holds the randomized differential harness
+(:mod:`repro.cache.diffsim`) that proves the exact
+:class:`~repro.cache.stats.CacheStats` equality this module promises,
+for fixed, all-associativity, epoch-chunked, drowsy, DRAM-fed and
+policy/prefetch replay alike.
 
 Set ``REPRO_FASTSIM=0`` to disable the fast path globally (every replay
 then uses the reference engine, useful when bisecting a discrepancy).
@@ -69,7 +76,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.cache.replacement import LRUPolicy
+from repro.cache.prefetch import Prefetcher
+from repro.cache.replacement import FIFOPolicy, LRUPolicy, SRRIPPolicy
 from repro.cache.stats import CacheStats
 from repro.config import CacheGeometry, PlatformConfig
 from repro.types import AccessKind, Privilege
@@ -89,6 +97,13 @@ __all__ = [
 #: Refresh modes the kernel reproduces exactly.
 SUPPORTED_REFRESH_MODES = ("none", "invalidate")
 
+#: Replacement policies :class:`EpochReplaySegment` reproduces exactly,
+#: by reference policy class.
+SEGMENT_POLICIES = {LRUPolicy: "lru", FIFOPolicy: "fifo", SRRIPPolicy: "srrip"}
+
+#: SRRIP's distant re-reference prediction value (``SRRIPPolicy.max_rrpv``).
+_RRPV_MAX = SRRIPPolicy.max_rrpv
+
 #: Rows :class:`EpochReplaySegment` converts to Python lists at a time.
 _ROW_SLICE = 1 << 15
 
@@ -107,7 +122,7 @@ def supports_cache(cache) -> bool:
     taken over mid-run.
     """
     return (
-        type(cache.policy) is LRUPolicy
+        type(cache.policy) in SEGMENT_POLICIES
         and cache.refresh_mode in SUPPORTED_REFRESH_MODES
         and cache.retention_distribution == "fixed"
         and cache.drowsy_window is None
@@ -582,13 +597,19 @@ class EpochReplaySegment:
     bit-identical to the reference engine's per-access loop.
 
     The envelope matches :func:`supports_cache` plus gating and drowsy
-    accounting: true LRU, retention ``none`` or fixed-window
-    ``invalidate``, power-gated ways with either gating semantics
-    (``retains_when_gated`` True keeps contents through a gate like
-    non-volatile STT-RAM; False invalidates like SRAM), and
+    accounting: ``policy`` ``"lru"``, ``"fifo"`` or ``"srrip"``
+    (``SetAssociativeCache``'s victim rules; only LRU tracks hit
+    ranks, so a FIFO/SRRIP segment whose rows could reach
+    ``min_rank_accesses`` raises ``ValueError``), retention ``none`` or
+    fixed-window ``invalidate``, power-gated ways with either gating
+    semantics (``retains_when_gated`` True keeps contents through a
+    gate like non-volatile STT-RAM; False invalidates like SRAM),
     ``drowsy_window`` — ``SetAssociativeCache``'s per-line awake-time
     accounting, exposed as the same ``awake_block_ticks`` and
-    ``drowsy_wakeups`` counters (retention-free segments only).
+    ``drowsy_wakeups`` counters (retention-free segments only) — and a
+    ``prefetcher`` trained on this segment's demand misses, with
+    ``ReplaySession.replay_fixed``'s pending-prefetch bookkeeping
+    (``prefetch_issued``/``prefetch_useful``).
     :func:`replay_one_chunk` runs a whole stream as a single chunk of one
     of these segments, with ``min_rank_accesses`` above the row count so
     ranks are never tracked.
@@ -603,8 +624,14 @@ class EpochReplaySegment:
         retains_when_gated: bool = True,
         drowsy_window: int | None = None,
         min_rank_accesses: int = 0,
+        policy: str = "lru",
+        prefetcher: Prefetcher | None = None,
         name: str = "fastseg",
     ) -> None:
+        if policy not in SEGMENT_POLICIES.values():
+            raise ValueError(
+                f"fastsim supports policies {tuple(SEGMENT_POLICIES.values())}, got {policy!r}"
+            )
         if refresh_mode not in SUPPORTED_REFRESH_MODES:
             raise ValueError(
                 f"fastsim supports refresh modes {SUPPORTED_REFRESH_MODES}, got {refresh_mode!r}"
@@ -634,6 +661,13 @@ class EpochReplaySegment:
         self.drowsy_window = drowsy_window
         self.awake_block_ticks = 0
         self.drowsy_wakeups = 0
+        self.policy = policy
+        self.prefetcher = prefetcher
+        self.prefetch_issued = 0
+        self.prefetch_useful = 0
+        # Blocks filled by a prefetch and not yet demand-hit, evicted or
+        # re-missed (``ReplaySession.replay_fixed``'s bookkeeping).
+        self._pending: set[int] = set()
         self.stats = CacheStats()
         self.gated_misses = 0
         self.epoch_accesses = 0
@@ -652,7 +686,10 @@ class EpochReplaySegment:
         self._dirty = bytearray(n_frames)
         self._privw = bytearray(n_frames)
         self._lastref = [0] * n_frames
+        # LRU: last-touch sequence; FIFO: fill sequence; SRRIP keeps a
+        # re-reference prediction value per frame instead.
         self._seqs = [0] * n_frames
+        self._rrpv = [_RRPV_MAX] * n_frames if policy == "srrip" else None
         self._blockw = [0] * n_frames
         # Last-touch tick per frame, read only by drowsy accounting.
         self._touch = [0] * n_frames if drowsy_window is not None else None
@@ -783,6 +820,9 @@ class EpochReplaySegment:
         privs = np.asarray(privs)
         n = len(addrs)
         self._n_chunks = n_chunks
+        if self.policy != "lru" and n >= self.min_rank_accesses:
+            # Only true LRU has recency ranks (``ReplacementPolicy.hit_rank``).
+            raise ValueError(f"a {self.policy!r} segment cannot track hit ranks")
         if n and int(privs.max()) > 1:
             raise ValueError(
                 f"privilege values must be 0 (user) or 1 (kernel), got {int(privs.max())}"
@@ -817,6 +857,8 @@ class EpochReplaySegment:
         self._privs = privs
         self._writes = np.asarray(writes)
         self._demand = np.asarray(demand)
+        # The prefetcher trains on raw addresses, sub-block offset included.
+        self._addrs = addrs if self.prefetcher is not None else None
         chunk_ids = np.asarray(chunk_ids, dtype=np.int64)
         self._chunk_starts = np.searchsorted(chunk_ids, np.arange(n_chunks + 1)).tolist()
 
@@ -838,13 +880,53 @@ class EpochReplaySegment:
             for a in range(lo, hi, _ROW_SLICE)
         )
 
+    def _prefetch_rows(self, lo: int, hi: int, queue: list, cur: list):
+        """Rows ``lo:hi`` in stream order, each followed by the prefetch
+        rows its demand miss queued — the order in which
+        ``ReplaySession.replay_fixed`` issues them.  ``cur[0]`` holds
+        the raw address of the stream row being replayed."""
+        addrs = itertools.chain.from_iterable(
+            self._addrs[a:min(a + _ROW_SLICE, hi)].tolist() for a in range(lo, hi, _ROW_SLICE)
+        )
+        for row, addr in zip(self._rows(lo, hi), addrs):
+            cur[0] = addr
+            yield row
+            if queue:
+                # Prefetch rows never queue more: only demand misses train.
+                yield from queue
+                queue.clear()
+
     def replay_chunk(self, chunk: int) -> None:
-        """Replay one chunk's accesses under the current powered ways."""
+        """Replay one chunk's accesses under the current powered ways.
+
+        With a prefetcher, every demand miss trains it on the raw
+        address and its proposals replay right after the miss as
+        non-demand reads at the same tick and privilege (``dm`` is None
+        on those rows).  They count as accesses, hits, misses and
+        evictions, never as demand traffic.
+        """
         lo = self._chunk_starts[chunk]
         hi = self._chunk_starts[chunk + 1]
         self.epoch_accesses += hi - lo
         if lo == hi:
             return
+        prefetcher = self.prefetcher
+        if prefetcher is None:
+            rows = self._rows(lo, hi)
+        else:
+            on_miss = prefetcher.on_miss
+            queue: list = []
+            cur = [0]
+            rows = self._prefetch_rows(lo, hi, queue, cur)
+            geometry = self.geometry
+            block_bits = geometry.block_size.bit_length() - 1
+            set_mask = geometry.num_sets - 1
+            n_ways = self.ways
+        pending = self._pending
+        issued = useful = 0
+        pf_by_priv = [0, 0]
+        lru = self.policy == "lru"
+        rrpv = self._rrpv
         st = self.stats
         window = self._window
         drowsy = self.drowsy_window
@@ -869,7 +951,7 @@ class EpochReplaySegment:
         misses = kernel_misses = demand_misses = hits = 0
         evictions = writebacks = exp_inv = exp_wb = 0
         ec = [0, 0, 0, 0]
-        for tick, block, base, priv, isw, dm in self._rows(lo, hi):
+        for tick, block, base, priv, isw, dm in rows:
             seqc += 1
             f = mget(block)
             if f is not None:
@@ -905,7 +987,10 @@ class EpochReplaySegment:
                             if x > mine:
                                 rank += 1
                         rank_hits[rank] += 1
-                    seqs[f] = seqc
+                    if lru:
+                        seqs[f] = seqc
+                    elif rrpv is not None:
+                        rrpv[f] = 0
                     if isw:
                         dirty[f] = 1
                         lastref[f] = tick  # a store rewrites the cells
@@ -914,6 +999,9 @@ class EpochReplaySegment:
                             dirty_hi[base] = w1
                             if w1 > max_dh:
                                 max_dh = w1
+                    if pending and dm and block in pending:
+                        useful += 1
+                        pending.remove(block)
                     continue
             misses += 1
             if priv:
@@ -937,8 +1025,19 @@ class EpochReplaySegment:
                         exp_wb += 1
                     del tagmap[blockw[target]]
                 else:
-                    sub = seqs[base:end]
-                    target = base + sub.index(min(sub))
+                    if rrpv is None:
+                        sub = seqs[base:end]
+                        target = base + sub.index(min(sub))
+                    else:
+                        # SRRIPPolicy.victim's scan: the first frame at
+                        # the largest RRPV, after every frame has aged
+                        # until that value reaches the maximum.
+                        sub = rrpv[base:end]
+                        m = max(sub)
+                        target = base + sub.index(m)
+                        if m < _RRPV_MAX:
+                            age = _RRPV_MAX - m
+                            rrpv[base:end] = [x + age for x in sub]
                     evictions += 1
                     ec[(privw[target] << 1) | priv] += 1
                     if dirty[target]:
@@ -948,6 +1047,8 @@ class EpochReplaySegment:
                         awake += elapsed if elapsed < drowsy else drowsy
                         if elapsed > drowsy:
                             wakeups += 1
+                    if pending:
+                        pending.discard(blockw[target])
                     del tagmap[blockw[target]]
             if drowsy is not None:
                 touch[target] = tick
@@ -956,7 +1057,10 @@ class EpochReplaySegment:
             privw[target] = priv
             dirty[target] = 1 if isw else 0
             lastref[target] = tick
-            seqs[target] = seqc
+            if rrpv is None:
+                seqs[target] = seqc
+            else:
+                rrpv[target] = _RRPV_MAX - 1
             tagmap[block] = target
             w1 = target - base + 1
             if w1 > valid_hi[base]:
@@ -967,7 +1071,27 @@ class EpochReplaySegment:
                 dirty_hi[base] = w1
                 if w1 > max_dh:
                     max_dh = w1
+            if prefetcher is not None:
+                if dm is None:
+                    pending.add(block)
+                    continue
+                pending.discard(block)
+                if dm:
+                    targets = on_miss(cur[0])
+                    if targets:
+                        issued += len(targets)
+                        pf_by_priv[priv] += len(targets)
+                        for addr in targets:
+                            b = addr >> block_bits
+                            queue.append((tick, b, (b & set_mask) * n_ways, priv, 0, None))
         self._seqc = seqc
+        if issued:
+            self.prefetch_issued += issued
+            self.epoch_accesses += issued
+            st.accesses += issued
+            st.accesses_by_priv[0] += pf_by_priv[0]
+            st.accesses_by_priv[1] += pf_by_priv[1]
+        self.prefetch_useful += useful
         self.awake_block_ticks += awake
         self.drowsy_wakeups += wakeups
         self._max_dirty_hi = max_dh
@@ -1002,21 +1126,25 @@ def replay_one_chunk(
     refresh_mode: str = "none",
     drowsy_window: int | None = None,
     finalize_tick: int | None = None,
+    policy: str = "lru",
+    prefetcher: Prefetcher | None = None,
 ) -> EpochReplaySegment:
     """Replay a whole stream as chunk 0 of a fresh :class:`EpochReplaySegment`.
 
     The fixed-geometry use of the segment kernel: a fixed ``invalidate``
-    replay (through :func:`simulate_trace`) and a drowsy replay.  Ranks
-    are never tracked; ``demand=None`` marks every row a demand access.
-    When ``finalize_tick`` is given the segment is finalized there like
+    replay (through :func:`simulate_trace`), a drowsy replay, a FIFO or
+    SRRIP replay and a replay behind a prefetcher.  Ranks are never
+    tracked; ``demand=None`` marks every row a demand access.  When
+    ``finalize_tick`` is given the segment is finalized there like
     ``SetAssociativeCache.finalize``.  Returns the segment, whose
-    ``stats``, ``awake_block_ticks`` and ``drowsy_wakeups`` hold the
-    outcome.
+    ``stats``, ``awake_block_ticks``, ``drowsy_wakeups`` and
+    ``prefetch_issued``/``prefetch_useful`` hold the outcome.
     """
     n = len(addrs)
     seg = EpochReplaySegment(
         geometry, retention_ticks=retention_ticks, refresh_mode=refresh_mode,
-        drowsy_window=drowsy_window, min_rank_accesses=n + 1,
+        drowsy_window=drowsy_window, min_rank_accesses=n + 1, policy=policy,
+        prefetcher=prefetcher,
     )
     seg.load(ticks, addrs, privs, writes,
              np.ones(n, dtype=bool) if demand is None else demand,
@@ -1111,17 +1239,27 @@ def fast_l1_filter(trace, platform: PlatformConfig):
     )
 
 
-def try_run_fixed(stream, segments, router, dram_model=None) -> int | None:
+def try_run_fixed(
+    stream, segments, router, dram_model=None, prefetcher: Prefetcher | None = None
+) -> tuple[int, int, int] | None:
     """Replay ``stream`` through fixed segments with the fast kernel.
 
-    Returns None (leaving every cache and ``dram_model`` untouched)
-    unless all segment caches are inside the envelope, the router is a
-    pure privilege→segment mapping and — when a DRAM model is given —
-    every segment is retention-free.  On success the per-segment
+    Returns None (leaving every cache, ``dram_model`` and ``prefetcher``
+    untouched) unless all segment caches are inside the envelope, the
+    router is a pure privilege→segment mapping, a DRAM model comes with
+    retention-free LRU segments and no prefetcher, and a prefetcher
+    serves a stream that one segment replays alone.  Each decline books
+    a ``fastsim.decline.<reason>`` counter.  On success the per-segment
     ``stats`` (including finalize accounting) are installed on each
     cache, the caller must skip its own replay loop and ``finalize``
-    pass, and the return value is the DRAM read stall (0 without a
-    model).
+    pass, and the return value is ``(dram_read_stall, prefetch_issued,
+    prefetch_useful)`` — like ``ReplaySession.replay_fixed``'s.
+
+    Retention-free LRU segments without a prefetcher replay through
+    :func:`simulate_trace`; FIFO and SRRIP segments, retention segments
+    and the prefetching segment replay as one chunk of an
+    :class:`EpochReplaySegment`.  On one segment, stream order is the
+    reference order, so the prefetcher sees the same demand misses.
 
     The DRAM model never changes cache state, so it is fed after the
     replay: each segment records its miss events, and the demand misses
@@ -1142,9 +1280,21 @@ def try_run_fixed(stream, segments, router, dram_model=None) -> int | None:
         obs.inc("fastsim.decline.router")
         return None
     record = dram_model is not None
-    if record and any(c.refresh_mode != "none" for c in caches):
+    reason = None
+    if record and prefetcher is not None:
+        # Prefetch fills go to DRAM too; the segment records no events.
+        reason = "prefetch-dram"
+    elif record and any(c.refresh_mode != "none" for c in caches):
         # The retention kernel records no miss events.
-        obs.inc("fastsim.decline.dram-retention")
+        reason = "dram-retention"
+    elif record and any(type(c.policy) is not LRUPolicy for c in caches):
+        reason = "dram-policy"
+    elif prefetcher is not None and user_cache is not kernel_cache:
+        # One prefetcher trained by two segments' misses needs their
+        # cross-segment interleaving.
+        reason = "prefetch-segments"
+    if reason is not None:
+        obs.inc(f"fastsim.decline.{reason}")
         return None
 
     final_tick = stream.duration_ticks
@@ -1154,24 +1304,36 @@ def try_run_fixed(stream, segments, router, dram_model=None) -> int | None:
         kernel_rows = stream.privs == np.uint8(Privilege.KERNEL)
         jobs = [(user_cache, ~kernel_rows), (kernel_cache, kernel_rows)]
     events = []
+    issued = useful = 0
     for cache, rows in jobs:
-        stats, ev = simulate_trace(
-            cache.geometry,
-            stream.ticks[rows],
-            stream.addrs[rows],
-            stream.privs[rows],
-            stream.writes[rows],
-            stream.demand[rows],
-            retention_ticks=cache.retention_ticks,
-            refresh_mode=cache.refresh_mode,
-            finalize_tick=final_tick,
-            record_events=record,
-            orig_indices=np.arange(len(stream))[rows] if record else None,
-        )
+        policy = SEGMENT_POLICIES[type(cache.policy)]
+        cols = (stream.ticks[rows], stream.addrs[rows], stream.privs[rows],
+                stream.writes[rows], stream.demand[rows])
+        if policy == "lru" and prefetcher is None:
+            stats, ev = simulate_trace(
+                cache.geometry, *cols,
+                retention_ticks=cache.retention_ticks,
+                refresh_mode=cache.refresh_mode,
+                finalize_tick=final_tick,
+                record_events=record,
+                orig_indices=np.arange(len(stream))[rows] if record else None,
+            )
+            events.append(ev)
+        else:
+            seg = replay_one_chunk(
+                cache.geometry, *cols,
+                retention_ticks=cache.retention_ticks,
+                refresh_mode=cache.refresh_mode,
+                finalize_tick=final_tick,
+                policy=policy,
+                prefetcher=prefetcher,
+            )
+            stats = seg.stats
+            issued += seg.prefetch_issued
+            useful += seg.prefetch_useful
         cache.stats = stats
-        events.append(ev)
     if not record:
-        return 0
+        return 0, issued, useful
 
     miss_idx = np.concatenate([np.asarray(ev.miss_idx, dtype=np.int64) for ev in events])
     miss_idx = miss_idx[stream.demand[miss_idx]]
@@ -1186,4 +1348,4 @@ def try_run_fixed(stream, segments, router, dram_model=None) -> int | None:
         latency = access(addr, tick, is_write)
         if not is_write:
             read_stall += latency
-    return read_stall
+    return read_stall, 0, 0

@@ -53,7 +53,11 @@ class BaselineDesign:
         DRAM model (see :mod:`repro.dram`); ``prefetcher`` optionally
         adds an L2 prefetcher (see :mod:`repro.cache.prefetch`).
         ``engine`` picks the replay path (``"auto"``/``"fast"``/
-        ``"reference"``, see :func:`~repro.core.pipeline.run_fixed_design`).
+        ``"reference"``, see :func:`~repro.core.pipeline.run_fixed_design`):
+        the one shared segment runs on the fast kernel under LRU, FIFO
+        or SRRIP, with or without a prefetcher; PLRU, random, and a DRAM
+        model together with a non-LRU policy or a prefetcher need the
+        reference engine.
         """
         geometry = self.geometry if self.geometry is not None else platform.l2
         cache = SetAssociativeCache(geometry, self.policy, name="l2-shared")

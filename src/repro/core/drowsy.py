@@ -17,6 +17,7 @@ byte-seconds into leakage energy and charges the wake-up cycles.
 
 from __future__ import annotations
 
+from repro.cache.fastsim import SEGMENT_POLICIES
 from repro.cache.hierarchy import L2Stream
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import CacheGeometry, PlatformConfig
@@ -72,11 +73,11 @@ class DrowsySRAMDesign:
         """Replay ``stream``; leakage splits into awake and drowsy parts.
 
         ``engine`` follows the shared contract (see
-        :func:`~repro.core.pipeline.run_fixed_design`): with LRU
-        replacement the stream replays as one chunk of the fast
-        segment kernel, which keeps the same per-line awake-time
+        :func:`~repro.core.pipeline.run_fixed_design`): with LRU, FIFO
+        or SRRIP replacement the stream replays as one chunk of the
+        fast segment kernel, which keeps the same per-line awake-time
         accounting (:class:`~repro.cache.fastsim.EpochReplaySegment`'s
-        ``drowsy_window``); any other policy needs the reference engine.
+        ``drowsy_window``); PLRU and random need the reference engine.
         """
         geometry = self.geometry if self.geometry is not None else platform.l2
         session = ReplaySession(self.name, stream, engine)
@@ -87,11 +88,14 @@ class DrowsySRAMDesign:
             cache = fastsim.replay_one_chunk(
                 geometry, stream.ticks, stream.addrs, stream.privs, stream.writes,
                 stream.demand, drowsy_window=self.drowsy_window,
-                finalize_tick=stream.duration_ticks,
+                finalize_tick=stream.duration_ticks, policy=self.policy,
             )
             return True
 
-        if not session.dispatch_fast(self.policy == "lru", run_fast, "needs LRU replacement"):
+        if not session.dispatch_fast(
+            self.policy in SEGMENT_POLICIES.values(), run_fast,
+            "needs LRU, FIFO or SRRIP replacement",
+        ):
             cache = SetAssociativeCache(
                 geometry, self.policy, drowsy_window=self.drowsy_window, name="l2-drowsy"
             )

@@ -128,8 +128,12 @@ class ReplaySession:
                 reason = "kill-switch"
             else:
                 with obs.span("replay", design=self.design_name, engine="fastsim",
-                              accesses=len(self.stream)):
+                              accesses=len(self.stream)) as sp:
                     ran = runner(fastsim)
+                    if not ran:
+                        # The reference loop replays it next; the run
+                        # log must not count this span as a replay.
+                        sp.note(declined=True)
                 if ran:
                     self.sim_engine = "fastsim"
                 else:
@@ -452,39 +456,33 @@ def run_fixed_design(
             kernel miss can only pollute the kernel segment).
         engine: ``"auto"`` replays through the vectorized fast kernel
             (:mod:`repro.cache.fastsim`) when the whole design qualifies
-            — LRU segments, no gating/drowsy, retention ``none`` or
-            ``invalidate``, no prefetcher (its fills need per-access
-            interleaving), and retention ``none`` in every segment when
-            a DRAM model is given (the model is then fed the replay's
-            miss events in stream order) — falling back to the reference
-            engine otherwise.  ``"fast"`` requires the kernel and raises
-            when the design disqualifies; ``"reference"`` forces the
-            per-access engine.  The chosen path is recorded in
-            ``DesignResult.extras["sim_engine"]``.
+            — LRU, FIFO or SRRIP segments, no gating/drowsy, retention
+            ``none`` or ``invalidate``; with a DRAM model, retention
+            ``none``, LRU and no prefetcher (the model is then fed the
+            replay's miss events in stream order); with a prefetcher,
+            one segment serving the whole stream (its proposals then
+            replay in the reference order) — falling back to the
+            reference engine otherwise.  ``"fast"`` requires the kernel
+            and raises when the design disqualifies; ``"reference"``
+            forces the per-access engine.  The chosen path is recorded
+            in ``DesignResult.extras["sim_engine"]``.
     """
     session = ReplaySession(design_name, stream, engine)
-    dram_read_stall = 0
-    prefetch_issued = 0
-    prefetch_useful = 0
+    replayed = None
 
     def run_fast(fastsim) -> bool:
-        nonlocal dram_read_stall
-        read_stall = fastsim.try_run_fixed(stream, segments, router, dram_model)
-        if read_stall is None:
-            return False
-        dram_read_stall = read_stall
-        return True
+        nonlocal replayed
+        replayed = fastsim.try_run_fixed(stream, segments, router, dram_model, prefetcher)
+        return replayed is not None
 
-    ran_fast = session.dispatch_fast(
-        prefetcher is None,
+    if not session.dispatch_fast(
+        True,
         run_fast,
-        "needs LRU segments, retention 'none'/'invalidate' ('none' with a "
-        "DRAM model), no prefetcher",
-    )
-    if not ran_fast:
-        dram_read_stall, prefetch_issued, prefetch_useful = session.replay_fixed(
-            segments, router, dram_model, prefetcher
-        )
+        "needs LRU/FIFO/SRRIP segments, retention 'none'/'invalidate'; with a DRAM "
+        "model, LRU, retention 'none' and no prefetcher; with a prefetcher, one segment",
+    ):
+        replayed = session.replay_fixed(segments, router, dram_model, prefetcher)
+    dram_read_stall, prefetch_issued, prefetch_useful = replayed
 
     assembler = ResultAssembler(session, platform)
     assembler.weigh_timing(

@@ -11,7 +11,9 @@
 * replay throughput per engine — the ``accesses`` attribute of every
   ``replay`` span summed over its duration, in M accesses/s — and the
   same rate for the front-end layers (``trace.generate``,
-  ``l1.filter``);
+  ``l1.filter``).  A fast-kernel span marked ``declined`` (the kernel
+  refused the design and the reference loop replayed it next) is not a
+  replay: it gets its own ``<engine>-declined`` row;
 * every counter recorded in the log's ``metrics`` snapshots (engine
   dispatch decisions, store hit/miss/write/corruption tallies, ...).
 """
@@ -239,6 +241,8 @@ def summarize(run: RunLog) -> RunSummary:
             continue
         if sp["name"] == "replay":
             engine = str(attrs.get("engine"))
+            if attrs.get("declined"):
+                engine += "-declined"
             stat = engines.setdefault(engine, EngineThroughput(engine))
             stat.replays += 1
         elif sp["name"] in FRONT_END_LAYERS:

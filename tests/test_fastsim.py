@@ -20,7 +20,11 @@ envelope.  This file is that promise, tested three ways:
 6. the retention-free extensions — drowsy awake-time accounting on the
    segment kernel and the bank-level DRAM model fed by recorded miss
    events — are swept by their own samplers and compared on whole
-   designs, including what still falls back.
+   designs, including what still falls back;
+7. the segment kernel's FIFO/SRRIP victim rules and its prefetch path
+   are swept by their own sampler (stats plus issued/useful prefetch
+   counts) and compared on whole designs, including the multi-segment
+   and DRAM declines.
 """
 
 import dataclasses
@@ -35,11 +39,13 @@ from repro.cache.diffsim import (
     assert_dram_case_equal,
     assert_drowsy_case_equal,
     assert_dynamic_case_equal,
+    assert_policy_case_equal,
     assert_ways_case_equal,
     sample_case,
     sample_dram_case,
     sample_drowsy_case,
     sample_dynamic_case,
+    sample_policy_case,
     sample_ways_case,
 )
 from repro.cache.hierarchy import l1_filter
@@ -218,13 +224,18 @@ def test_auto_engine_uses_fast_kernel(browser_stream_small):
 
 
 def test_auto_falls_back_for_prefetcher(browser_stream_small):
+    """One prefetcher trained by two segments' misses needs their
+    cross-segment order: a partitioned design stays on the reference
+    engine, with a booked reason."""
     from repro.cache.prefetch import make_prefetcher
 
-    result = BaselineDesign().run(
+    before = obs.REGISTRY.counters.get("fastsim.decline.prefetch-segments", 0)
+    result = StaticPartitionDesign().run(
         browser_stream_small, DEFAULT_PLATFORM,
         prefetcher=make_prefetcher("nextline"),
     )
     assert result.extras["sim_engine"] == "reference"
+    assert obs.REGISTRY.counters["fastsim.decline.prefetch-segments"] == before + 1
 
 
 def test_auto_falls_back_for_non_lru_policy(browser_stream_small):
@@ -236,7 +247,7 @@ def test_fast_engine_raises_when_disqualified(browser_stream_small):
     from repro.cache.prefetch import make_prefetcher
 
     with pytest.raises(ValueError, match="fast"):
-        BaselineDesign().run(
+        StaticPartitionDesign().run(
             browser_stream_small, DEFAULT_PLATFORM,
             prefetcher=make_prefetcher("nextline"), engine="fast",
         )
@@ -522,3 +533,77 @@ def test_drowsy_design_non_lru_falls_back(browser_stream_small):
     with pytest.raises(ValueError, match="fast"):
         DrowsySRAMDesign(policy="plru").run(
             browser_stream_small, DEFAULT_PLATFORM, engine="fast")
+
+
+# ----------------------------------------------------------------------
+# 7. FIFO/SRRIP victim rules and single-segment prefetch
+
+
+@pytest.mark.parametrize("seed", DIFF_SEEDS)
+def test_policy_prefetch_segment_matches_reference(seed):
+    assert_policy_case_equal(sample_policy_case(seed))
+
+
+@pytest.mark.parametrize(
+    "design",
+    [BaselineDesign(policy="srrip"), BaselineDesign(policy="fifo"),
+     StaticPartitionDesign(policy="srrip"), DrowsySRAMDesign(policy="fifo")],
+    ids=["baseline-srrip", "baseline-fifo", "static-srrip", "drowsy-fifo"],
+)
+def test_policy_designs_match_reference(design, browser_stream_small):
+    _assert_engines_agree(design, browser_stream_small, DEFAULT_PLATFORM)
+
+
+class _PrefetchingBaseline:
+    """The baseline behind a fresh prefetcher on every run."""
+
+    def __init__(self, prefetcher: str, policy: str = "lru") -> None:
+        self.prefetcher = prefetcher
+        self.policy = policy
+
+    def run(self, stream, platform, engine):
+        from repro.cache.prefetch import make_prefetcher
+
+        return BaselineDesign(policy=self.policy).run(
+            stream, platform, prefetcher=make_prefetcher(self.prefetcher), engine=engine)
+
+
+@pytest.mark.parametrize("prefetcher,policy", [("nextline", "lru"), ("stride", "lru"),
+                                               ("stride", "srrip")])
+def test_prefetch_designs_match_reference(prefetcher, policy, browser_stream_small):
+    fast = _assert_engines_agree(
+        _PrefetchingBaseline(prefetcher, policy), browser_stream_small, DEFAULT_PLATFORM)
+    assert fast.extras["prefetch_useful"] > 0
+
+
+def test_supports_cache_takes_fifo_and_srrip():
+    geometry = CacheGeometry(8192, 4)
+    for policy in ("fifo", "srrip"):
+        assert fastsim.supports_cache(SetAssociativeCache(geometry, policy))
+    assert not fastsim.supports_cache(SetAssociativeCache(geometry, "random"))
+
+
+def test_segment_rejects_unknown_policy_and_non_lru_ranks():
+    geometry = CacheGeometry(8192, 4)
+    with pytest.raises(ValueError, match="policies"):
+        fastsim.EpochReplaySegment(geometry, policy="plru")
+    seg = fastsim.EpochReplaySegment(geometry, policy="srrip", min_rank_accesses=4)
+    rows = np.arange(4)
+    with pytest.raises(ValueError, match="hit ranks"):
+        seg.load(rows, rows.astype(np.uint64) * np.uint64(64), np.zeros(4, dtype=np.uint8),
+                 np.zeros(4, dtype=bool), np.ones(4, dtype=bool), np.zeros(4), 1)
+
+
+@pytest.mark.parametrize("reason", ["prefetch-dram", "dram-policy"])
+def test_dram_model_declines_prefetch_and_non_lru(reason, browser_stream_small):
+    from repro.cache.prefetch import make_prefetcher
+    from repro.dram import DRAMModel
+
+    if reason == "prefetch-dram":
+        design, kwargs = BaselineDesign(), {"prefetcher": make_prefetcher("stride")}
+    else:
+        design, kwargs = BaselineDesign(policy="srrip"), {}
+    before = obs.REGISTRY.counters.get(f"fastsim.decline.{reason}", 0)
+    result = design.run(browser_stream_small, DEFAULT_PLATFORM, dram_model=DRAMModel(), **kwargs)
+    assert result.extras["sim_engine"] == "reference"
+    assert obs.REGISTRY.counters[f"fastsim.decline.{reason}"] == before + 1

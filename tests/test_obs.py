@@ -274,6 +274,46 @@ class TestReplayWorkSize:
                 for sp in self.replay_spans(log)] == [("reference", len(browser_stream_small))] * 2
 
 
+class TestKernelDeclines:
+    """A kernel that declines leaves a fastsim span marked ``declined``;
+    the per-engine table counts only replays that actually ran."""
+
+    def run_pair(self, stream):
+        """A fast baseline replay, then static-stt behind a DRAM model
+        (the retention kernel declines it); results as plain data."""
+        import dataclasses
+
+        from repro.core.multi_retention import multi_retention_design
+        from repro.dram import DRAMModel
+
+        fast = make_design("baseline").run(stream, DEFAULT_PLATFORM).to_dict()
+        declined = multi_retention_design().run(stream, DEFAULT_PLATFORM, dram_model=DRAMModel())
+        extras = {**declined.extras,
+                  "dram_stats": dataclasses.asdict(declined.extras["dram_stats"])}
+        return [fast, dataclasses.replace(declined, extras=extras).to_dict()]
+
+    def test_declined_span_is_not_a_fastsim_replay(self, browser_stream_small, tmp_path):
+        untraced = self.run_pair(browser_stream_small)
+        obs.REGISTRY.reset()
+        log = tmp_path / "declines.jsonl"
+        obs.configure(log)
+        try:
+            traced = self.run_pair(browser_stream_small)
+            obs.recorder().metrics()
+        finally:
+            obs.configure(None)
+        assert traced == untraced
+        assert [r["extras"]["sim_engine"] for r in traced] == ["fastsim", "reference"]
+
+        summary = summarize(load_run(log))
+        engines = {e.engine: e for e in summary.engines}
+        assert set(engines) == {"fastsim", "fastsim-declined", "reference"}
+        assert engines["fastsim"].replays == summary.counters["pipeline.dispatch.fastsim"] == 1
+        assert engines["fastsim-declined"].replays == 1
+        assert engines["reference"].replays == summary.counters["pipeline.dispatch.reference"]
+        assert "fastsim-declined" in summary.render()
+
+
 class TestFrontEndThroughput:
     """``trace.generate`` and ``l1.filter`` spans record their work size,
     so the summary prints a per-layer M accesses/s."""

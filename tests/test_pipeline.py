@@ -89,14 +89,15 @@ def test_per_access_designs_reject_fast(factory, browser_stream_small):
 # prefetch bookkeeping
 
 
-def test_stale_prefetch_earns_no_credit():
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_stale_prefetch_earns_no_credit(engine):
     """An evicted prefetch must not be credited on a later demand hit.
 
     One set, two ways: block 64 is prefetched, evicted by a later
     prefetch fill, then demand-missed back in.  The demand hit that
     follows touches the *demand-fetched* copy, so ``prefetch_useful``
     stays zero (the unpruned bookkeeping would credit the dead
-    prefetch here).
+    prefetch here).  Both engines keep the same bookkeeping.
     """
     geometry = CacheGeometry(128, 2, 64)
     cache = SetAssociativeCache(geometry, "lru", name="l2")
@@ -111,13 +112,15 @@ def test_stale_prefetch_earns_no_credit():
         [FixedSegment("shared", cache, sram())],
         lambda priv: cache,
         prefetcher=make_prefetcher("nextline"),
+        engine=engine,
     )
-    assert result.extras["sim_engine"] == "reference"
+    assert result.extras["sim_engine"] == {"reference": "reference", "fast": "fastsim"}[engine]
     assert result.extras["prefetch_issued"] == 3
     assert result.extras["prefetch_useful"] == 0
 
 
-def test_resident_prefetch_is_credited():
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_resident_prefetch_is_credited(engine):
     """The happy path still counts: prefetch, then demand-hit it."""
     geometry = CacheGeometry(128, 2, 64)
     cache = SetAssociativeCache(geometry, "lru", name="l2")
@@ -130,6 +133,7 @@ def test_resident_prefetch_is_credited():
         [FixedSegment("shared", cache, sram())],
         lambda priv: cache,
         prefetcher=make_prefetcher("nextline"),
+        engine=engine,
     )
     assert result.extras["prefetch_issued"] == 1
     assert result.extras["prefetch_useful"] == 1
